@@ -1,16 +1,14 @@
 """Nilpotent Lie algebras by rational structure constants, with ideal algorithms.
 
-Algebra elements are plain lists of length ``dim`` whose entries are Fractions,
-:class:`~nillab.scalars.ExtScalar` values (exact layer), or floats / numpy
-arrays (numeric layer used by the spectral estimators).  All subspace
-computations happen in the exact layer.
+Algebra elements are plain lists of length ``dim`` whose entries are Fractions
+or :class:`~nillab.scalars.ExtScalar` values; all computations here are exact.
+Numeric points only meet the algebra through the compiled group law of
+:mod:`nillab.group`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .scalars import ExtScalar, rational_slices
@@ -40,10 +38,6 @@ def vec_is_zero(x: list) -> bool:
     return all(linalg.is_zero_scalar(a) for a in x)
 
 
-def is_numeric_vector(x: list) -> bool:
-    return any(isinstance(a, (float, np.ndarray)) for a in x)
-
-
 class NilLieAlgebra:
     """Nilpotent Lie algebra in a Mal'cev-adapted basis.
 
@@ -60,9 +54,8 @@ class NilLieAlgebra:
             for ij, cs in brackets.items()
         }
         self.brackets = {ij: cs for ij, cs in self.brackets.items() if cs}
-        self._float_brackets = {
-            ij: {k: float(c) for k, c in cs.items()} for ij, cs in self.brackets.items()
-        }
+        #: Canonical text of the structure constants: equal keys, equal algebras.
+        self.key = repr((dim, sorted((ij, sorted(cs.items())) for ij, cs in self.brackets.items())))
         self.validate()
 
     @classmethod
@@ -88,15 +81,10 @@ class NilLieAlgebra:
         return -self.brackets.get((j, i), {}).get(k, Fraction(0))
 
     def bracket(self, x: list, y: list) -> list:
-        numeric = is_numeric_vector(x) or is_numeric_vector(y)
-        table = self._float_brackets if numeric else self.brackets
-        if numeric:
-            res = [0.0] * self.dim
-        else:
-            res = zero_vector(self.dim)
-        for (i, j), cs in table.items():
+        res = zero_vector(self.dim)
+        for (i, j), cs in self.brackets.items():
             t = x[i] * y[j] - x[j] * y[i]
-            if not numeric and linalg.is_zero_scalar(t):
+            if linalg.is_zero_scalar(t):
                 continue
             for k, c in cs.items():
                 res[k] = res[k] + c * t

@@ -291,7 +291,6 @@ def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
 
 
 def observable_for(entry: CatalogEntry, spec: dict) -> Observable:
-    dim = catalog_build(entry.name).algebra.dim
     if "terms" in spec:
-        return Observable(dim, spec["terms"])
-    return Observable.character(dim, spec["freqs"])
+        return Observable(len(next(iter(spec["terms"]))), spec["terms"])
+    return Observable.character(len(spec["freqs"]), spec["freqs"])

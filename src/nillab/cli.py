@@ -60,7 +60,7 @@ def _parse_params(items) -> dict:
         if "=" not in item:
             raise ConfigError("parameter %r is not of the form name=value" % item)
         k, v = item.split("=", 1)
-        out[k] = v if v == "symbolic" else v
+        out[k] = v
     return out
 
 

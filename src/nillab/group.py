@@ -1,25 +1,28 @@
-"""Group layer: truncated BCH products, Mal'cev coordinates of both kinds,
-lattice reduction, Haar sampling, and unipotent automorphisms.
+"""Group layer: the group law in Mal'cev coordinates, lattice reduction, Haar
+sampling, and unipotent automorphisms.
 
 Group elements are coordinate vectors in the second-kind chart
-psi(t) = exp(t_1 xi_1) ... exp(t_m xi_m); the lattice is psi(Z^m).  Exact
-coordinates are Fractions / ExtScalars; the numeric layer uses floats or numpy
-arrays of shape (P,) per coordinate, so every operation vectorizes over point
-batches.
+psi(t) = exp(t_1 xi_1) ... exp(t_m xi_m); the lattice is psi(Z^m).  In these
+coordinates multiplication, inversion and both coordinate charts are
+polynomial maps (the Hall polynomials).  They are compiled once per algebra
+from the exact BCH series and evaluated by :class:`PolynomialMap` on exact
+coordinates (Fractions, ExtScalars) or numeric ones (floats, or numpy arrays
+of shape (P,) per coordinate, so every operation vectorizes over point
+batches).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import linalg
-from .algebra import NilLieAlgebra, is_numeric_vector, vec_is_zero, zero_vector
-from .scalars import ExtScalar
+from .algebra import NilLieAlgebra, vec_is_zero, zero_vector
+from .scalars import ExtScalar, SymbolContext, floor_scalar
 
 MAX_BCH_STEP = 5
 
@@ -77,21 +80,19 @@ def dynkin_terms(step: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
 
 
 def bch(alg: NilLieAlgebra, x: list, y: list) -> list:
-    """log(exp(x) exp(y)) by the Dynkin series truncated at the algebra step."""
-    numeric = is_numeric_vector(x) or is_numeric_vector(y)
+    """log(exp(x) exp(y)) by the Dynkin series truncated at the algebra step (exact)."""
     m = alg.dim
-    res = [0.0] * m if numeric else zero_vector(m)
+    res = zero_vector(m)
     args = (x, y)
     for coeff, word in dynkin_terms(alg.step):
         v = args[word[-1]]
         for letter in reversed(word[:-1]):
             v = alg.bracket(args[letter], v)
-            if not numeric and vec_is_zero(v):
+            if vec_is_zero(v):
                 break
         else:
-            c = float(coeff) if numeric else coeff
             for k in range(m):
-                res[k] = res[k] + c * v[k]
+                res[k] = res[k] + coeff * v[k]
     return res
 
 
@@ -100,48 +101,127 @@ def vec_neg(x: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate charts
+# Polynomial maps and the compiled group law
+# ---------------------------------------------------------------------------
+
+_EXACT_TYPES = (int, Fraction, ExtScalar)
+
+
+class PolynomialMap:
+    """Polynomial map with exact coefficients, evaluated at exact or float points.
+
+    ``polys`` lists, per output coordinate, its (coefficient, monomial) terms;
+    a monomial is the tuple of its variable indices, each repeated by its
+    exponent.  Evaluation is the one place that picks the arithmetic: a point
+    of ints, Fractions and ExtScalars is evaluated exactly; a point with any
+    float or numpy array entry is evaluated in floats, coefficients and exact
+    entries alike.
+    """
+
+    def __init__(self, polys):
+        self.exact = tuple(tuple(poly) for poly in polys)
+
+    @classmethod
+    def linear(cls, matrix: list[list]) -> "PolynomialMap":
+        return cls(
+            [(c, (j,)) for j, c in enumerate(row) if not linalg.is_zero_scalar(c)]
+            for row in matrix
+        )
+
+    @cached_property
+    def floats(self) -> tuple:
+        return tuple(tuple((float(c), mono) for c, mono in poly) for poly in self.exact)
+
+    def __call__(self, values: list) -> list:
+        if all(isinstance(v, _EXACT_TYPES) for v in values):
+            polys = self.exact
+        else:
+            polys = self.floats
+            values = [float(v) if isinstance(v, _EXACT_TYPES) else v for v in values]
+        out = []
+        for poly in polys:
+            acc = 0
+            for c, mono in poly:
+                for i in mono:
+                    c = c * values[i]
+                acc = acc + c
+            out.append(acc)
+        return out
+
+
+def _compiled(law):
+    """Evaluate the group-law function ``law(alg, *coords)`` through its Hall
+    polynomials, derived once per algebra by running ``law`` itself, exactly,
+    on coordinate symbols.  The result's ``__wrapped__`` is ``law`` unchanged.
+
+    Tables are keyed by structure constants, not by algebra object: quotient
+    and catalog constructions build equal algebras afresh on every call.
+    """
+    nargs = law.__code__.co_argcount - 1
+    tables: dict[tuple, PolynomialMap] = {}
+
+    @wraps(law)
+    def compiled(alg: NilLieAlgebra, *coords: list) -> list:
+        table = tables.get(alg.key)
+        if table is None:
+            m = alg.dim
+            context = SymbolContext("x%d" % i for i in range(nargs * m))
+            x = list(context.symbols())
+            outputs = law(alg, *(x[a * m:(a + 1) * m] for a in range(nargs)))
+            table = tables[alg.key] = PolynomialMap(
+                [(c, tuple(i for i, e in enumerate(expo) for _ in range(e)))
+                 for expo, c in sorted(p.terms.items())]
+                for p in outputs
+            )
+        return table([t for c in coords for t in c])
+
+    return compiled
+
+
+# ---------------------------------------------------------------------------
+# Coordinate charts and the group law, defined by BCH
 # ---------------------------------------------------------------------------
 
 
-def _coord_vector(m: int, i: int, t, numeric: bool) -> list:
-    v = [0.0] * m if numeric else zero_vector(m)
+def _coord_vector(m: int, i: int, t) -> list:
+    v = zero_vector(m)
     v[i] = t
     return v
 
 
+@_compiled
 def second_to_first(alg: NilLieAlgebra, coords: list) -> list:
     """Single-exponential (first-kind) coordinates of psi(coords)."""
-    numeric = is_numeric_vector(coords)
     m = alg.dim
-    w = [0.0] * m if numeric else zero_vector(m)
+    w = zero_vector(m)
     for i in range(m - 1, -1, -1):
-        w = bch(alg, _coord_vector(m, i, coords[i], numeric), w)
+        w = bch(alg, _coord_vector(m, i, coords[i]), w)
     return w
 
 
+@_compiled
 def first_to_second(alg: NilLieAlgebra, w: list) -> list:
     """Peel second-kind coordinates off a first-kind (log) vector."""
-    numeric = is_numeric_vector(w)
     m = alg.dim
     coords = []
     cur = w
     for i in range(m):
         t = cur[i]
         coords.append(t)
-        neg = -t if numeric else -t
-        cur = bch(alg, _coord_vector(m, i, neg, numeric), cur)
+        cur = bch(alg, _coord_vector(m, i, -t), cur)
     return coords
 
 
-def identity_element(alg: NilLieAlgebra, numeric: bool = False) -> list:
-    return [0.0] * alg.dim if numeric else zero_vector(alg.dim)
+def identity_element(alg: NilLieAlgebra) -> list:
+    return zero_vector(alg.dim)
 
 
+@_compiled
 def multiply(alg: NilLieAlgebra, g: list, h: list) -> list:
     return first_to_second(alg, bch(alg, second_to_first(alg, g), second_to_first(alg, h)))
 
 
+@_compiled
 def inverse(alg: NilLieAlgebra, g: list) -> list:
     return first_to_second(alg, vec_neg(second_to_first(alg, g)))
 
@@ -156,39 +236,23 @@ def commutator(alg: NilLieAlgebra, g: list, h: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _floor_coord(t):
-    if isinstance(t, np.ndarray):
-        return np.floor(t)
-    if isinstance(t, ExtScalar):
-        return Fraction(math.floor(t.as_rational()))
-    if isinstance(t, Fraction):
-        return Fraction(math.floor(t))
-    return float(math.floor(t))
-
-
 def reduce_mod_lattice(alg: NilLieAlgebra, g: list) -> tuple[list, list]:
     """Fundamental-domain representative and lattice part.
 
     Returns (rep, lat) with rep = g * gamma, all rep coordinates in [0, 1),
     and gamma = product of psi(-lat_i e_i) in ascending coordinate order.
     """
-    numeric = is_numeric_vector(g)
     m = alg.dim
     rep = list(g)
     lat = []
     for i in range(m):
-        k = _floor_coord(rep[i])
+        t = rep[i]
+        k = np.floor(t) if isinstance(t, np.ndarray) else Fraction(floor_scalar(t))
         lat.append(k)
-        if isinstance(k, np.ndarray):
-            nz = np.any(k != 0)
-        else:
-            nz = not linalg.is_zero_scalar(k)
-        if nz:
-            rep = multiply(alg, rep, _coord_vector(m, i, -k, numeric))
+        if np.any(k != 0):
+            rep = multiply(alg, rep, _coord_vector(m, i, -k))
         # guard against float roundoff leaving rep[i] just outside [0, 1)
-        if isinstance(rep[i], np.ndarray):
-            rep[i] = np.mod(rep[i], 1.0)
-        elif isinstance(rep[i], float):
+        if not isinstance(rep[i], _EXACT_TYPES):
             rep[i] = rep[i] % 1.0
     return rep, lat
 
@@ -231,6 +295,7 @@ class UnipotentAutomorphism:
         if len(matrix) != m or any(len(r) != m for r in matrix):
             raise AutomorphismError("matrix must be %d x %d" % (m, m))
         self.matrix = [[linalg.simplify_scalar(x) for x in row] for row in matrix]
+        self._map = PolynomialMap.linear(self.matrix)
         for k in range(m):
             for i in range(m):
                 e = self.matrix[k][i] - (1 if k == i else 0)
@@ -249,9 +314,6 @@ class UnipotentAutomorphism:
                     raise AutomorphismError(
                         "matrix is not a Lie algebra automorphism on pair (%d, %d)" % (i, j)
                     )
-        self._float = np.array(
-            [[float(x) if not isinstance(x, ExtScalar) else np.nan for x in row] for row in self.matrix]
-        ) if self.is_rational else None
 
     @property
     def is_rational(self) -> bool:
@@ -259,43 +321,29 @@ class UnipotentAutomorphism:
             not isinstance(x, ExtScalar) or x.is_rational() for row in self.matrix for x in row
         )
 
-    def float_matrix(self, assignment=None) -> np.ndarray:
-        from .scalars import evaluate_scalar
-
-        if assignment is None and self._float is not None:
-            return self._float
-        return np.array(
-            [[evaluate_scalar(x, assignment or {}) for x in row] for row in self.matrix]
-        )
-
-    def apply_vector(self, w: list, assignment=None) -> list:
+    def apply_vector(self, w: list) -> list:
         """Apply to a first-kind coordinate vector."""
-        if is_numeric_vector(w):
-            M = self.float_matrix(assignment)
-            return [sum(M[k][j] * w[j] for j in range(self.alg.dim)) for k in range(self.alg.dim)]
-        m = self.alg.dim
-        return [
-            sum((self.matrix[k][j] * w[j] for j in range(m)), start=Fraction(0))
-            for k in range(m)
-        ]
+        return self._map(w)
 
     def compose(self, other: "UnipotentAutomorphism") -> "UnipotentAutomorphism":
-        m = self.alg.dim
-        prod = [
-            [
-                sum((self.matrix[i][k] * other.matrix[k][j] for k in range(m)), start=Fraction(0))
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        return UnipotentAutomorphism(self.alg, prod)
+        return UnipotentAutomorphism(self.alg, _matmul(self.matrix, other.matrix))
+
+    def inverse(self) -> "UnipotentAutomorphism":
+        """A^-1 = sum_k (I - A)^k, a finite series since I - A is nilpotent."""
+        eye = identity_automorphism(self.alg).matrix
+        nil = [[e - a for e, a in zip(er, ar)] for er, ar in zip(eye, self.matrix)]
+        out = eye  # Horner form: I + N (I + N (... (I + N)))
+        for _ in range(self.alg.dim - 1):
+            prod = _matmul(nil, out)
+            out = [[e + p for e, p in zip(er, pr)] for er, pr in zip(eye, prod)]
+        return UnipotentAutomorphism(self.alg, out)
 
     def preserves_lattice(self) -> bool:
         """Whether the induced group map sends psi(Z^m) into psi(Z^m)."""
         if not self.is_rational:
             return False
         for i in range(self.alg.dim):
-            g = apply_automorphism(self.alg, self, _lattice_generator(self.alg, i))
+            g = apply_automorphism(self.alg, self, self.alg.basis_vector(i))
             for t in g:
                 t = linalg.simplify_scalar(t)
                 if isinstance(t, ExtScalar) or Fraction(t).denominator != 1:
@@ -303,14 +351,16 @@ class UnipotentAutomorphism:
         return True
 
 
-def _lattice_generator(alg: NilLieAlgebra, i: int) -> list:
-    v = zero_vector(alg.dim)
-    v[i] = Fraction(1)
-    return v
+def _matmul(a: list[list], b: list[list]) -> list[list]:
+    m = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(m)), start=Fraction(0)) for j in range(m)]
+        for i in range(m)
+    ]
 
 
-def apply_automorphism(alg: NilLieAlgebra, A: UnipotentAutomorphism, g: list, assignment=None) -> list:
-    return first_to_second(alg, A.apply_vector(second_to_first(alg, g), assignment))
+def apply_automorphism(alg: NilLieAlgebra, A: UnipotentAutomorphism, g: list) -> list:
+    return first_to_second(alg, A.apply_vector(second_to_first(alg, g)))
 
 
 def adjoint(alg: NilLieAlgebra, g: list) -> UnipotentAutomorphism:

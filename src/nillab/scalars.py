@@ -85,13 +85,6 @@ def _common_context(a: SymbolContext, b: SymbolContext) -> SymbolContext:
     raise ContextMismatchError("mixed symbol tables: %r vs %r" % (a, b))
 
 
-def _lift_expo(expo, src: SymbolContext, dst: SymbolContext):
-    if src == dst:
-        return expo
-    # src is the empty context here
-    return dst.zero_expo()
-
-
 class ExtScalar:
     """Element of Q[t_1, ..., t_r]: finite map from exponent vectors to Fractions.
 
@@ -215,6 +208,9 @@ class ExtScalar:
         return a.terms == b.terms
 
     def __hash__(self):
+        # a rational scalar equals the Fraction of its value, so it hashes alike
+        if self.is_rational():
+            return hash(self.constant_term())
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

@@ -110,10 +110,9 @@ class Observable:
 def translated_observable(sys: AffineNilsystem, f, h_coords):
     """f composed with left translation by psi(h_coords): x -> f(h * x)."""
     alg = sys.algebra
-    h = [float(c) for c in h_coords]
 
     def g(pts):
-        rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, h, pts))
+        rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, h_coords, pts))
         return f(rep)
 
     return g
@@ -580,16 +579,7 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
             if not la.vec_is_zero(alg.bracket(a, b)):
                 raise ValueError("Leibman component is not abelian; fibers are not rotations")
     g = [float(c) for c in base_point]
-    A_g = [
-        sum(float(sys.A.float_matrix()[k][j]) * w for j, w in enumerate(gp.second_to_first(alg, g)))
-        for k in range(alg.dim)
-    ]
-    assign = assignment or {}
-    from .scalars import evaluate_scalar
-
-    gtau = [evaluate_scalar(t, assign) for t in sys.g_tau]
-    w = gp.multiply(alg, gp.inverse(alg, g),
-                    gp.multiply(alg, gtau, gp.first_to_second(alg, A_g)))
+    w = gp.multiply(alg, gp.inverse(alg, g), sys.numeric(assignment).apply(g))
     logw = gp.second_to_first(alg, w)
     # coordinates of log(w) in the primitive basis of the fiber algebra
     dirs = _primitive_ideal_basis(hH)

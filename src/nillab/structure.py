@@ -64,12 +64,8 @@ class AffineNilsystem:
     def _check_commuting(self) -> None:
         A1, g1 = self.A, self.g_tau
         A2, g2 = self.second
-        m = self.algebra.dim
-        for i in range(m):
-            for j in range(m):
-                d = A1.compose(A2).matrix[i][j] - A2.compose(A1).matrix[i][j]
-                if not linalg.is_zero_scalar(d):
-                    raise SystemValidationError("generators' automorphisms do not commute")
+        if A1.compose(A2).matrix != A2.compose(A1).matrix:
+            raise SystemValidationError("generators' automorphisms do not commute")
         # shift defect of T1 T2 vs T2 T1 must lie in the lattice
         alg = self.algebra
         s12 = gp.multiply(alg, g1, gp.apply_automorphism(alg, A1, g2))
@@ -110,68 +106,56 @@ class AffineNilsystem:
 
 
 class NumericSystem:
-    """Double-precision dynamics of an affine nilsystem, vectorized over batch points."""
+    """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
+
+    Each map x -> g * A(x) is held as an affine pair (A, g), g evaluated at the
+    assignment; its inverse is the pair (A^-1, A^-1(g^-1)), derived exactly.
+    """
 
     def __init__(self, sys: AffineNilsystem, assignment: dict[str, float]):
         self.sys = sys
         self.alg = sys.algebra
         self.assignment = dict(assignment)
-        self.A_float = sys.A.float_matrix()
-        self.g_float = [evaluate_scalar(t, assignment) for t in sys.g_tau]
-        self.A_inv_float = np.array(_float_inverse(sys.A.matrix), dtype=float)
+        self._forward, self._backward = self._pairs(sys.A, sys.g_tau)
         if sys.second is not None:
-            A2, g2 = sys.second
-            self.A2_float = A2.float_matrix()
-            self.g2_float = [evaluate_scalar(t, assignment) for t in g2]
-            self.A2_inv_float = np.array(_float_inverse(A2.matrix), dtype=float)
+            self._forward2, self._backward2 = self._pairs(*sys.second)
 
-    def _affine(self, pts: list, M: np.ndarray, g: list) -> list:
-        alg = self.alg
-        w = gp.second_to_first(alg, pts)
-        w = [sum(M[k][j] * w[j] for j in range(alg.dim)) for k in range(alg.dim)]
-        x = gp.first_to_second(alg, w)
-        rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, g, x))
+    def _pairs(self, A: UnipotentAutomorphism, g: list) -> tuple:
+        A_inv = A.inverse()
+        g_inv = gp.apply_automorphism(self.alg, A_inv, gp.inverse(self.alg, g))
+        return (
+            (A, [evaluate_scalar(t, self.assignment) for t in g]),
+            (A_inv, [evaluate_scalar(t, self.assignment) for t in g_inv]),
+        )
+
+    def _affine(self, pts: list, pair: tuple) -> list:
+        A, g = pair
+        return gp.multiply(self.alg, g, gp.apply_automorphism(self.alg, A, pts))
+
+    def _step(self, pts: list, pair: tuple) -> list:
+        rep, _ = gp.reduce_mod_lattice(self.alg, self._affine(pts, pair))
         return rep
+
+    def apply(self, pts: list) -> list:
+        """g_tau * A(pts): one step of T before lattice reduction."""
+        return self._affine(pts, self._forward)
 
     def step(self, pts: list) -> list:
         """pts is a list of m arrays (or floats); returns T(pts), reduced."""
-        return self._affine(pts, self.A_float, self.g_float)
-
-    def _affine_inverse(self, pts: list, Minv: np.ndarray, g: list) -> list:
-        alg = self.alg
-        y = gp.multiply(alg, gp.inverse(alg, g), pts)
-        w = gp.second_to_first(alg, y)
-        w = [sum(Minv[k][j] * w[j] for j in range(alg.dim)) for k in range(alg.dim)]
-        rep, _ = gp.reduce_mod_lattice(alg, gp.first_to_second(alg, w))
-        return rep
+        return self._step(pts, self._forward)
 
     def step_inverse(self, pts: list) -> list:
-        return self._affine_inverse(pts, self.A_inv_float, self.g_float)
+        return self._step(pts, self._backward)
 
     def step2(self, pts: list) -> list:
-        return self._affine(pts, self.A2_float, self.g2_float)
+        return self._step(pts, self._forward2)
 
     def step2_inverse(self, pts: list) -> list:
-        return self._affine_inverse(pts, self.A2_inv_float, self.g2_float)
+        return self._step(pts, self._backward2)
 
     def sample_points(self, count: int, seed: int | None) -> list:
         pts = gp.haar_sample(self.alg.dim, count, seed)
         return [np.ascontiguousarray(pts[:, j]) for j in range(self.alg.dim)]
-
-
-def _float_inverse(matrix: list[list]) -> list[list]:
-    m = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(m)] + [Fraction(1 if j == i else 0) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [[float(aug[i][m + j]) for j in range(m)] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +280,7 @@ class FactorData:
     nonpivot: list[int]
 
     def project_log(self, w: list) -> list:
-        if la.is_numeric_vector(w):
-            return [sum(float(c) * x for c, x in zip(row, w)) for row in self.proj_matrix]
-        out = []
-        for row in self.proj_matrix:
-            acc = Fraction(0)
-            for c, x in zip(row, w):
-                if c:
-                    acc = acc + c * x
-            out.append(acc)
-        return out
+        return gp.PolynomialMap.linear(self.proj_matrix)(w)
 
     def project_point(self, x: list) -> list:
         """Second-kind coordinates downstairs of a point given upstairs."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from nillab import algebra as la
 from nillab import group as gp
@@ -60,6 +61,25 @@ def munipotent_inverse(m):
     return out
 
 
+# The group law by its BCH definitions alone, the reference for the compiled law
+def bch_second_to_first(alg, t):
+    return gp.second_to_first.__wrapped__(alg, t)
+
+
+def bch_first_to_second(alg, w):
+    return gp.first_to_second.__wrapped__(alg, w)
+
+
+def bch_multiply(alg, g, h):
+    return bch_first_to_second(
+        alg, gp.bch(alg, bch_second_to_first(alg, g), bch_second_to_first(alg, h))
+    )
+
+
+def bch_inverse(alg, g):
+    return bch_first_to_second(alg, gp.vec_neg(bch_second_to_first(alg, g)))
+
+
 # ---------------------------------------------------------------------------
 # Baker-Campbell-Hausdorff
 # ---------------------------------------------------------------------------
@@ -107,6 +127,9 @@ def test_coordinate_kind_conversions_roundtrip(alg, units, n):
         t = rand_vec(rng, alg.dim)
         w = gp.second_to_first(alg, t)
         assert gp.first_to_second(alg, w) == t
+        # the compiled charts agree with their BCH definitions
+        assert w == bch_second_to_first(alg, t)
+        assert bch_first_to_second(alg, w) == t
         # first-kind coords of psi(t) agree with the matrix logarithm
         assert w == matrix_to_vec(units, mat_log(psi_matrix(units, n, t)))
 
@@ -120,6 +143,7 @@ def test_multiply_matches_matrix_product(alg, units, n):
         prod = gp.multiply(alg, g, h)
         expect = mmul(psi_matrix(units, n, g), psi_matrix(units, n, h))
         assert psi_matrix(units, n, prod) == expect
+        assert prod == bch_multiply(alg, g, h)
 
 
 @pytest.mark.parametrize("alg,units,n", CASES)
@@ -139,6 +163,7 @@ def test_inverse_and_identity(alg, units, n):
     for _ in range(25):
         g = rand_vec(rng, alg.dim)
         gi = gp.inverse(alg, g)
+        assert gi == bch_inverse(alg, g)
         assert gp.multiply(alg, g, gi) == e
         assert gp.multiply(alg, gi, g) == e
         assert psi_matrix(units, n, gi) == munipotent_inverse(psi_matrix(units, n, g))
@@ -157,6 +182,71 @@ def test_commutator_matches_matrix_commutator(alg, units, n):
             mmul(mg, mh), mmul(munipotent_inverse(mg), munipotent_inverse(mh))
         )
         assert psi_matrix(units, n, c) == expect
+
+
+# Adapted algebras of step <= 5 as (dim, brackets); a triangular change of
+# basis keeps a basis adapted, so these seed random adapted algebras.
+ADAPTED_BASES = [
+    (3, {}),
+    (3, {(0, 1): {2: 1}}),
+    (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}),
+    (5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}),
+    (6, {(0, 1): {3: 1}, (1, 2): {4: 1}, (0, 4): {5: 1}, (2, 3): {5: -1}}),
+    (6, {(0, i): {i + 1: 1} for i in range(1, 5)}),
+]
+
+small_fractions = hst.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@hst.composite
+def adapted_algebras(draw):
+    """Structure constants of a base algebra in a random triangular basis
+    xi'_i = sum_{k >= i} P[k][i] xi_k."""
+    dim, brackets = draw(hst.sampled_from(ADAPTED_BASES))
+    base = NilLieAlgebra.from_brackets(
+        dim, {ij: {k: F(c) for k, c in cs.items()} for ij, cs in brackets.items()}
+    )
+    P = [[F(0)] * dim for _ in range(dim)]
+    for k in range(dim):
+        P[k][k] = draw(small_fractions.filter(bool))
+        for l in range(k):
+            P[k][l] = draw(small_fractions)
+    cols = [[P[k][i] for k in range(dim)] for i in range(dim)]
+    new = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            v = base.bracket(cols[i], cols[j])
+            c = []  # solve P c = v by forward substitution
+            for k in range(dim):
+                c.append((v[k] - sum((P[k][l] * c[l] for l in range(k)), F(0))) / P[k][k])
+            cs = {k: x for k, x in enumerate(c) if x}
+            if cs:
+                new[(i, j)] = cs
+    return NilLieAlgebra.from_brackets(dim, new)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.data())
+def test_compiled_law_on_random_adapted_algebras(data):
+    alg = data.draw(adapted_algebras())
+    assert alg.step <= 5
+    g, h, k = (data.draw(hst.lists(small_fractions, min_size=alg.dim, max_size=alg.dim))
+               for _ in range(3))
+    gh = gp.multiply(alg, g, h)
+    assert gh == bch_multiply(alg, g, h)
+    assert gp.inverse(alg, g) == bch_inverse(alg, g)
+    w = gp.second_to_first(alg, g)
+    assert w == bch_second_to_first(alg, g)
+    assert gp.first_to_second(alg, w) == bch_first_to_second(alg, w) == g
+    assert gp.multiply(alg, gh, k) == gp.multiply(alg, g, gp.multiply(alg, h, k))
+    assert gp.multiply(alg, g, gp.inverse(alg, g)) == gp.identity_element(alg)
+    rep, lat = gp.reduce_mod_lattice(alg, gh)
+    assert all(0 <= t < 1 for t in rep)
+    assert all(t.denominator == 1 for t in lat)
+    # float evaluation of the same polynomials at the same rational points
+    gf, hf = [float(t) for t in g], [float(t) for t in h]
+    for got, want in ((gp.multiply(alg, gf, hf), gh), (gp.inverse(alg, gf), gp.inverse(alg, g))):
+        assert got == pytest.approx([float(t) for t in want], rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +343,13 @@ def test_automorphism_preserves_brackets():
         lhs = A.apply_vector(H3.bracket(x, y))
         rhs = H3.bracket(A.apply_vector(x), A.apply_vector(y))
         assert lhs == rhs
+
+
+def test_automorphism_inverse():
+    A = _h3_automorphism()
+    A_inv = A.inverse()
+    assert A_inv.matrix == munipotent_inverse(A.matrix)
+    assert A.compose(A_inv).matrix == gp.identity_automorphism(H3).matrix
 
 
 def test_automorphism_rejects_non_homomorphism():

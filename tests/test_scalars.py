@@ -53,6 +53,16 @@ def test_constant_and_rational_detection():
         (a + c).as_rational()
 
 
+def test_rational_scalar_hashes_like_its_fraction():
+    half = Fraction(1, 2)
+    lifted = [EMPTY_CONTEXT.constant(half), CTX.constant(half)]
+    assert len({*lifted, half}) == 1
+    assert {half: "x"}[lifted[0]] == "x"
+    assert {lifted[1]: "y"}[half] == "y"
+    assert len({EMPTY_CONTEXT.constant(3), 3}) == 1
+    assert len({CTX.constant(0), Fraction(0)}) == 1
+
+
 def test_division_by_rational_only():
     a = CTX.symbol("a")
     assert (a / 2) * 2 == a

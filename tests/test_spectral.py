@@ -275,10 +275,12 @@ def test_fiber_eigenvalues_trivial_fiber():
 def test_fiber_eigenvalues_ergodic_skew():
     sys = catalog_build("skew_torus_ergodic")
     alpha = sys.default_assignment["alpha"]
-    angles = fiber_eigenvalues(
-        sys, [0.3, 0.2], [(1, 0), (0, 1), (0, 2)], assignment=sys.default_assignment
-    )
-    assert angles == pytest.approx([alpha, 0.3, 0.6])
+    # without an assignment the system's default one applies, as in sys.numeric()
+    for assignment in (sys.default_assignment, None):
+        angles = fiber_eigenvalues(
+            sys, [0.3, 0.2], [(1, 0), (0, 1), (0, 2)], assignment=assignment
+        )
+        assert angles == pytest.approx([alpha, 0.3, 0.6])
 
 
 def test_fiber_eigenvalues_need_abelian_fibers():

@@ -10,6 +10,7 @@ from nillab import algebra as la
 from nillab import group as gp
 from nillab import linalg
 from nillab import structure as st
+from nillab.algebra import NilLieAlgebra
 from nillab.catalog import catalog_build, catalog_entry, catalog_list
 
 F = Fraction
@@ -206,3 +207,38 @@ def test_nonergodic_witness_character_is_invariant(name):
             sum((w[i] * (tx[i] - x[i]) for i in range(len(w))), start=F(0))
         )
         assert F(diff).denominator == 1
+
+
+RATIONAL_PARAMS = {"alpha": "355/113", "beta": "577/408", "y_tau": "265/153", "u_tau": "99/70"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_numeric_steps_track_exact_map(name):
+    """At rational parameters each float step is the exact map read in floats,
+    and each inverse step undoes its forward step."""
+    sys = catalog_build(name, {s: RATIONAL_PARAMS[s] for s in catalog_entry(name).symbols})
+    alg = sys.algebra
+    num = sys.numeric()
+    maps = [(sys.A, sys.g_tau, num.step, num.step_inverse)]
+    if sys.second is not None:
+        maps.append((*sys.second, num.step2, num.step2_inverse))
+    rng = random.Random(5)
+    for _ in range(10):
+        x = [F(rng.randint(1, 96), 97) for _ in range(alg.dim)]
+        xf = [float(t) for t in x]
+        for A, g, step, step_inverse in maps:
+            exact, _ = gp.reduce_mod_lattice(
+                alg, gp.multiply(alg, g, gp.apply_automorphism(alg, A, x)))
+            y = step(xf)
+            assert y == pytest.approx([float(t) for t in exact], abs=1e-12)
+            assert step_inverse(y) == pytest.approx(xf, abs=1e-12)
+
+
+def test_second_generator_must_commute():
+    alg = NilLieAlgebra(3, 1, {})
+    A1 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]])
+    A2 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(1), F(1)]])
+    zero = [F(0)] * 3
+    st.AffineNilsystem(alg, A1, zero, second=(A1, zero))
+    with pytest.raises(st.SystemValidationError, match="automorphisms do not commute"):
+        st.AffineNilsystem(alg, A1, zero, second=(A2, zero))
