@@ -26,10 +26,6 @@ def vec_add(x: list, y: list) -> list:
     return [a + b for a, b in zip(x, y)]
 
 
-def vec_sub(x: list, y: list) -> list:
-    return [a - b for a, b in zip(x, y)]
-
-
 def vec_scale(c, x: list) -> list:
     return [c * a for a in x]
 
@@ -72,13 +68,6 @@ class NilLieAlgebra:
 
     def basis(self) -> list[list]:
         return [self.basis_vector(i) for i in range(self.dim)]
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, Fraction(0))
-        return -self.brackets.get((j, i), {}).get(k, Fraction(0))
 
     def bracket(self, x: list, y: list) -> list:
         res = zero_vector(self.dim)

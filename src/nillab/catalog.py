@@ -254,40 +254,41 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
-    """Instantiate a catalog system.
+    """Instantiate a catalog system, its symbols resolved by :func:`substitute_params`."""
+    entry = catalog_entry(name)
+    sys = _BUILDERS[name](SymbolContext(entry.symbols))
+    sys.default_assignment = dict(entry.default_assignment)
+    return substitute_params(sys, params)
+
+
+def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsystem:
+    """``sys`` with its symbols resolved.
 
     ``params`` maps each symbol either to the string "symbolic" (keep it
     formal) or to an exact rational, which is substituted exactly.  ``None``
     keeps every symbol formal.
     """
-    entry = catalog_entry(name)
-    ctx = SymbolContext(entry.symbols)
     if params is None:
-        params = {n: "symbolic" for n in entry.symbols}
-    unknown = set(params) - set(entry.symbols)
+        return sys
+    symbols = sys.context.names
+    unknown = set(params) - set(symbols)
     if unknown:
-        raise ValueError("unknown parameters %r for %r" % (sorted(unknown), name))
-    missing = set(entry.symbols) - set(params)
+        raise ValueError("unknown parameters %r for %r" % (sorted(unknown), sys.name))
+    missing = set(symbols) - set(params)
     if missing:
-        raise ValueError("missing parameters %r for %r" % (sorted(missing), name))
-    sys = _BUILDERS[name](ctx)
-    sys.default_assignment = dict(entry.default_assignment)
-    subst = {
-        n: Fraction(v) for n, v in params.items() if not (isinstance(v, str) and v == "symbolic")
-    }
+        raise ValueError("missing parameters %r for %r" % (sorted(missing), sys.name))
+    subst = {n: Fraction(v) for n, v in params.items() if v != "symbolic"}
     if not subst:
         return sys
-    kept = tuple(n for n in entry.symbols if n not in subst)
-    new_ctx = SymbolContext(kept)
+    kept = tuple(n for n in symbols if n not in subst)
     g_tau = [substitute_rational(t, subst) for t in sys.g_tau]
     second = None
     if sys.second is not None:
         A2, g2 = sys.second
         second = (A2, [substitute_rational(t, subst) for t in g2])
-    defaults = {n: v for n, v in entry.default_assignment.items() if n in kept}
-    return AffineNilsystem(sys.algebra, sys.A, g_tau, context=new_ctx,
-                           second=second, name=sys.name,
-                           default_assignment=defaults)
+    defaults = {n: v for n, v in sys.default_assignment.items() if n in kept}
+    return AffineNilsystem(sys.algebra, sys.A, g_tau, context=SymbolContext(kept), second=second,
+                           name=sys.name, default_assignment=defaults)
 
 
 def observable_for(entry: CatalogEntry, spec: dict) -> Observable:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from . import spectral as sp
 from . import structure as st
 from .algebra import RationalIdeal, derived_subalgebra
-from .catalog import catalog_build, catalog_entry, catalog_list, observable_for
+from .catalog import catalog_build, catalog_list, observable_for, substitute_params
+from .scalars import UnboundSymbolError
 from .serialize import load_system
 from .spectral import Observable
 from .structure import AffineNilsystem
@@ -28,6 +29,11 @@ from .structure import AffineNilsystem
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit code 2 is reserved for golden failures
+        raise ConfigError(message)
 
 
 def _thread_cap() -> int:
@@ -45,13 +51,11 @@ def _load_sys(config: dict) -> AffineNilsystem:
     if name.endswith(".json") or os.path.sep in name:
         if not os.path.exists(name):
             raise ConfigError("system file %r not found" % name)
-        return load_system(name)
+        return substitute_params(load_system(name), config.get("params"))
     try:
         return catalog_build(name, config.get("params"))
     except KeyError as exc:
-        raise ConfigError(str(exc))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(exc.args[0])
 
 
 def _parse_params(items) -> dict:
@@ -242,8 +246,7 @@ def cmd_verify(config: dict | None = None) -> tuple[str, int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="nillab",
-                                description="nilsystem structure and spectrum laboratory")
+    p = _Parser(prog="nillab", description="nilsystem structure and spectrum laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp_):
@@ -273,11 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--levels", type=int, nargs="+", default=None,
                    help="H per recursion stage; one U^s row per prefix")
 
-    s = sub.add_parser("verify", help="replay the built-in golden suite")
-    common(s)
-
-    s = sub.add_parser("catalog", help="list built-in systems")
-    s.add_argument("--out", help="output file (default stdout)")
+    for name, help_ in (("verify", "replay the built-in golden suite"),
+                        ("catalog", "list built-in systems")):
+        sub.add_parser(name, help=help_).add_argument("--out", help="output file (default stdout)")
     return p
 
 
@@ -312,23 +313,17 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _thread_cap()
         config = _config_from_args(args)
-        if args.command == "structure":
-            text, code = cmd_structure(config), 0
-        elif args.command == "spectrum":
-            text, code = cmd_spectrum(config), 0
-        elif args.command == "useminorm":
-            text, code = cmd_useminorm(config), 0
-        elif args.command == "catalog":
-            text, code = cmd_catalog(config), 0
-        elif args.command == "verify":
+        if args.command == "verify":
             text, code = cmd_verify(config)
-        else:  # pragma: no cover
-            raise ConfigError("unknown command")
-    except (ConfigError, sp.LagBudgetError) as exc:
+        else:
+            run = {"structure": cmd_structure, "spectrum": cmd_spectrum,
+                   "useminorm": cmd_useminorm, "catalog": cmd_catalog}[args.command]
+            text, code = run(config), 0
+    except (ValueError, UnboundSymbolError) as exc:
         _sys.stderr.write("error: %s\n" % exc)
         return 1
     _emit(text, config.get("out"))

@@ -3,12 +3,11 @@ sampling, and unipotent automorphisms.
 
 Group elements are coordinate vectors in the second-kind chart
 psi(t) = exp(t_1 xi_1) ... exp(t_m xi_m); the lattice is psi(Z^m).  In these
-coordinates multiplication, inversion and both coordinate charts are
-polynomial maps (the Hall polynomials).  They are compiled once per algebra
-from the exact BCH series and evaluated by :class:`PolynomialMap` on exact
-coordinates (Fractions, ExtScalars) or numeric ones (floats, or numpy arrays
-of shape (P,) per coordinate, so every operation vectorizes over point
-batches).
+coordinates the group law, both charts, lattice reduction and automorphisms
+are polynomial maps (the Hall polynomials), each derived once from its exact
+definition and evaluated by :class:`PolynomialMap` on exact coordinates
+(Fractions, ExtScalars) or numeric ones (floats, or numpy arrays of shape (P,)
+per coordinate, so every operation vectorizes over point batches).
 """
 
 from __future__ import annotations
@@ -107,15 +106,26 @@ def vec_neg(x: list) -> list:
 _EXACT_TYPES = (int, Fraction, ExtScalar)
 
 
+def _exact_floor(t) -> tuple:
+    k = Fraction(floor_scalar(t))
+    return k, t - k
+
+
+def _float_floor(t) -> tuple:
+    k = np.floor(t)
+    r = t - k  # rounds up to 1.0 for t = -1e-20
+    return k, r - (r >= 1.0)
+
+
 class PolynomialMap:
     """Polynomial map with exact coefficients, evaluated at exact or float points.
 
     ``polys`` lists, per output coordinate, its (coefficient, monomial) terms;
     a monomial is the tuple of its variable indices, each repeated by its
-    exponent.  Evaluation is the one place that picks the arithmetic: a point
-    of ints, Fractions and ExtScalars is evaluated exactly; a point with any
-    float or numpy array entry is evaluated in floats, coefficients and exact
-    entries alike.
+    exponent.  Evaluation is the one place that picks the arithmetic, floor
+    included: a point of ints, Fractions and ExtScalars is evaluated exactly;
+    a point with any float or numpy array entry is evaluated in floats,
+    coefficients and exact entries alike.
     """
 
     def __init__(self, polys):
@@ -132,49 +142,61 @@ class PolynomialMap:
     def floats(self) -> tuple:
         return tuple(tuple((float(c), mono) for c, mono in poly) for poly in self.exact)
 
-    def __call__(self, values: list) -> list:
+    def __call__(self, values: list, floors_at: int | None = None):
+        """The outputs at ``values``; with ``floors_at = j``, the pair (fractional
+        parts, floors), each output's floor written to ``values[j + i]`` before
+        output i + 1 is evaluated."""
         if all(isinstance(v, _EXACT_TYPES) for v in values):
-            polys = self.exact
+            polys, values, split = self.exact, list(values), _exact_floor
         else:
-            polys = self.floats
+            polys, split = self.floats, _float_floor
             values = [float(v) if isinstance(v, _EXACT_TYPES) else v for v in values]
         out = []
-        for poly in polys:
+        for i, poly in enumerate(polys):
             acc = 0
             for c, mono in poly:
-                for i in mono:
-                    c = c * values[i]
+                for j in mono:
+                    c = c * values[j]
                 acc = acc + c
+            if floors_at is not None:
+                values[floors_at + i], acc = split(acc)
             out.append(acc)
-        return out
+        return out if floors_at is None else (out, values[floors_at:])
+
+
+_TABLES: dict[tuple, PolynomialMap] = {}
+
+
+def _table(key: tuple, fn, nvars: int) -> PolynomialMap:
+    """``fn`` as a polynomial map, derived once per ``key`` by running it
+    exactly on coordinate symbols x_0..x_{nvars-1}."""
+    if key not in _TABLES:
+        x = list(SymbolContext("x%d" % i for i in range(nvars)).symbols())
+        _TABLES[key] = PolynomialMap(
+            [(c, tuple(i for i, e in enumerate(expo) for _ in range(e)))
+             for expo, c in sorted(p.terms.items())] for p in fn(x))
+    return _TABLES[key]
 
 
 def _compiled(law):
     """Evaluate the group-law function ``law(alg, *coords)`` through its Hall
-    polynomials, derived once per algebra by running ``law`` itself, exactly,
-    on coordinate symbols.  The result's ``__wrapped__`` is ``law`` unchanged.
-
-    Tables are keyed by structure constants, not by algebra object: quotient
-    and catalog constructions build equal algebras afresh on every call.
+    polynomials, derived by running ``law`` itself on coordinate symbols and
+    reachable as ``table(alg)``; ``__wrapped__`` is ``law`` unchanged.  Tables
+    are keyed by structure constants, not by algebra object: quotient and
+    catalog constructions build equal algebras afresh on every call.
     """
     nargs = law.__code__.co_argcount - 1
-    tables: dict[tuple, PolynomialMap] = {}
+
+    def table(alg: NilLieAlgebra) -> PolynomialMap:
+        m = alg.dim
+        return _table((law.__name__, alg.key), lambda x: law(
+            alg, *(x[a * m:(a + 1) * m] for a in range(nargs))), nargs * m)
 
     @wraps(law)
     def compiled(alg: NilLieAlgebra, *coords: list) -> list:
-        table = tables.get(alg.key)
-        if table is None:
-            m = alg.dim
-            context = SymbolContext("x%d" % i for i in range(nargs * m))
-            x = list(context.symbols())
-            outputs = law(alg, *(x[a * m:(a + 1) * m] for a in range(nargs)))
-            table = tables[alg.key] = PolynomialMap(
-                [(c, tuple(i for i, e in enumerate(expo) for _ in range(e)))
-                 for expo, c in sorted(p.terms.items())]
-                for p in outputs
-            )
-        return table([t for c in coords for t in c])
+        return table(alg)([t for c in coords for t in c])
 
+    compiled.table = table
     return compiled
 
 
@@ -236,25 +258,23 @@ def commutator(alg: NilLieAlgebra, g: list, h: list) -> list:
 # ---------------------------------------------------------------------------
 
 
+@_compiled
+def _times_lattice(alg: NilLieAlgebra, g: list, k: list) -> list:
+    """g * psi(-k_1 e_1) ... psi(-k_m e_m)."""
+    for i, t in enumerate(k):
+        g = multiply(alg, g, _coord_vector(alg.dim, i, -t))
+    return g
+
+
 def reduce_mod_lattice(alg: NilLieAlgebra, g: list) -> tuple[list, list]:
     """Fundamental-domain representative and lattice part.
 
     Returns (rep, lat) with rep = g * gamma, all rep coordinates in [0, 1),
     and gamma = product of psi(-lat_i e_i) in ascending coordinate order.
+    Each tail of an adapted basis spans an ideal, so rep_i depends only on
+    lat_1..lat_i, and on lat_i only through the term -lat_i.
     """
-    m = alg.dim
-    rep = list(g)
-    lat = []
-    for i in range(m):
-        t = rep[i]
-        k = np.floor(t) if isinstance(t, np.ndarray) else Fraction(floor_scalar(t))
-        lat.append(k)
-        if np.any(k != 0):
-            rep = multiply(alg, rep, _coord_vector(m, i, -k))
-        # guard against float roundoff leaving rep[i] just outside [0, 1)
-        if not isinstance(rep[i], _EXACT_TYPES):
-            rep[i] = rep[i] % 1.0
-    return rep, lat
+    return _times_lattice.table(alg)(list(g) + [0] * alg.dim, floors_at=alg.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +316,7 @@ class UnipotentAutomorphism:
             raise AutomorphismError("matrix must be %d x %d" % (m, m))
         self.matrix = [[linalg.simplify_scalar(x) for x in row] for row in matrix]
         self._map = PolynomialMap.linear(self.matrix)
+        self.key = repr(self.matrix)  # with the algebra's key, names the map
         for k in range(m):
             for i in range(m):
                 e = self.matrix[k][i] - (1 if k == i else 0)
@@ -303,13 +324,12 @@ class UnipotentAutomorphism:
                     raise AutomorphismError(
                         "not unipotent in the adapted ordering: entry (%d, %d)" % (k, i)
                     )
+        basis = alg.basis()
+        images = [self.apply_vector(e) for e in basis]
         for i in range(m):
             for j in range(i + 1, m):
-                lhs = self.apply_vector(alg.bracket(alg.basis_vector(i), alg.basis_vector(j)))
-                rhs = alg.bracket(
-                    self.apply_vector(alg.basis_vector(i)),
-                    self.apply_vector(alg.basis_vector(j)),
-                )
+                lhs = self.apply_vector(alg.bracket(basis[i], basis[j]))
+                rhs = alg.bracket(images[i], images[j])
                 if not vec_is_zero([a - b for a, b in zip(lhs, rhs)]):
                     raise AutomorphismError(
                         "matrix is not a Lie algebra automorphism on pair (%d, %d)" % (i, j)
@@ -340,15 +360,9 @@ class UnipotentAutomorphism:
 
     def preserves_lattice(self) -> bool:
         """Whether the induced group map sends psi(Z^m) into psi(Z^m)."""
-        if not self.is_rational:
-            return False
-        for i in range(self.alg.dim):
-            g = apply_automorphism(self.alg, self, self.alg.basis_vector(i))
-            for t in g:
-                t = linalg.simplify_scalar(t)
-                if isinstance(t, ExtScalar) or Fraction(t).denominator != 1:
-                    return False
-        return True
+        return self.is_rational and all(
+            t.denominator == 1
+            for e in self.alg.basis() for t in apply_automorphism(self.alg, self, e))
 
 
 def _matmul(a: list[list], b: list[list]) -> list[list]:
@@ -360,18 +374,18 @@ def _matmul(a: list[list], b: list[list]) -> list[list]:
 
 
 def apply_automorphism(alg: NilLieAlgebra, A: UnipotentAutomorphism, g: list) -> list:
-    return first_to_second(alg, A.apply_vector(second_to_first(alg, g)))
+    """first_to_second o A o second_to_first as one table per structure
+    constants and rational matrix (the identity table for A = I)."""
+    return _table(("automorphism", alg.key, A.key),
+                  lambda x: first_to_second(alg, A.apply_vector(second_to_first(alg, x))),
+                  alg.dim)(g)
 
 
 def adjoint(alg: NilLieAlgebra, g: list) -> UnipotentAutomorphism:
     """Matrix of Ad_g = d/dx (g x g^-1) in the adapted basis, computed exactly."""
     w = second_to_first(alg, g)
-    neg_w = vec_neg(w)
-    cols = []
-    for j in range(alg.dim):
-        cols.append(bch(alg, w, bch(alg, alg.basis_vector(j), neg_w)))
-    matrix = [[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
-    return UnipotentAutomorphism(alg, matrix)
+    cols = [bch(alg, w, bch(alg, e, vec_neg(w))) for e in alg.basis()]
+    return UnipotentAutomorphism(alg, [list(row) for row in zip(*cols)])
 
 
 def identity_automorphism(alg: NilLieAlgebra) -> UnipotentAutomorphism:

@@ -23,6 +23,8 @@ class ContextMismatchError(ValueError):
 class UnboundSymbolError(KeyError):
     """Raised when evaluating a scalar with an incomplete assignment."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 def rat_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
@@ -127,9 +129,6 @@ class ExtScalar:
         if not self.is_rational():
             raise ValueError("scalar %r is not rational" % (self,))
         return self.constant_term()
-
-    def monomials(self):
-        return self.terms.keys()
 
     # -- arithmetic ---------------------------------------------------
 

@@ -406,6 +406,8 @@ def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
     H_levels = tuple(int(h) for h in H_levels)
     if len(H_levels) != s:
         raise ValueError("need one H per recursion level")
+    if any(h < 1 for h in H_levels):
+        raise ValueError("every H must be >= 1, got %r" % (H_levels,))
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
 

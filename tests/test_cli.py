@@ -136,3 +136,43 @@ def test_system_file_path_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, ["structure", "--system", str(path)])
     assert code == 0
     assert "ergodic" in out
+
+
+_SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SPECTRUM + ["--observable", "x:1", "--samples", "2048", "--lags", "64"],
+    _SPECTRUM + ["--observable", "1:1", "--samples", "10", "--lags", "64"],
+    _SPECTRUM + ["--observable", "1:1", "--samples", "2048", "--lags", "10"],
+    _SPECTRUM + ["--observable", "1:1", "--lags", "x"],
+    _SPECTRUM + ["--observable", "1:1", "--no-such-flag"],
+    ["useminorm", "--system", "skew_torus_nonergodic", "--observable", "0,1:1",
+     "--samples", "2048", "--seed", "3", "--levels", "0"],
+    ["verify", "--system", "nonexistent"],
+    [],
+])
+def test_bad_input_exits_1_with_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_system_file_resolves_params(capsys, tmp_path):
+    from nillab.catalog import catalog_build
+    from nillab.serialize import save_system
+
+    path = tmp_path / "h3.json"
+    save_system(str(path), catalog_build("heisenberg3"))
+    argv = ["spectrum", "--system", str(path), "--observable", "0,0,1:1",
+            "--samples", "2048", "--lags", "64", "--seed", "7"]
+    code, out, err = run(capsys, argv + ["--params", "alpha=1/3", "--params", "beta=2/7"])
+    assert code == 0 and "# verdict=" in out
+    # a file holds no numeric defaults, so the formal symbols stay unbound
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert err == "error: unbound symbol 'alpha'\n"
+    code, out, err = run(capsys, argv + ["--params", "gamma=1/3"])
+    assert code == 1
+    assert "unknown parameters ['gamma']" in err

@@ -249,6 +249,52 @@ def test_compiled_law_on_random_adapted_algebras(data):
         assert got == pytest.approx([float(t) for t in want], rel=1e-12, abs=1e-12)
 
 
+def reference_reduce(alg, g):
+    """Lattice reduction one coordinate at a time: floor coordinate i, then
+    right-multiply by psi(-k e_i) through the group law."""
+    rep, lat = list(g), []
+    for i in range(alg.dim):
+        k = F(math.floor(rep[i]))
+        lat.append(k)
+        rep = gp.multiply(alg, rep, la.vec_scale(-k, alg.basis_vector(i)))
+    return rep, lat
+
+
+@hst.composite
+def unipotent_automorphisms(draw, alg):
+    """Ad_g for a random g, after an elementary shear xi_i -> xi_i + c xi_k
+    (k > i) when that shear is an automorphism."""
+    g = draw(hst.lists(small_fractions, min_size=alg.dim, max_size=alg.dim))
+    A = gp.adjoint(alg, g)
+    k = draw(hst.integers(1, alg.dim - 1))
+    M = [[F(int(r == c)) for c in range(alg.dim)] for r in range(alg.dim)]
+    M[k][draw(hst.integers(0, k - 1))] = draw(small_fractions)
+    try:
+        return A.compose(gp.UnipotentAutomorphism(alg, M))
+    except gp.AutomorphismError:
+        return A
+
+
+wide_fractions = hst.fractions(min_value=-10**6, max_value=10**6, max_denominator=9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.data())
+def test_lattice_and_automorphism_tables_on_random_adapted_algebras(data):
+    alg = data.draw(adapted_algebras())
+    g = data.draw(hst.lists(wide_fractions, min_size=alg.dim, max_size=alg.dim))
+    rep, lat = gp.reduce_mod_lattice(alg, g)
+    assert (rep, lat) == reference_reduce(alg, g)
+    assert all(0 <= t < 1 for t in rep)
+    A = data.draw(unipotent_automorphisms(alg))
+    h = data.draw(hst.lists(small_fractions, min_size=alg.dim, max_size=alg.dim))
+    expect = bch_first_to_second(alg, A.apply_vector(bch_second_to_first(alg, h)))
+    assert gp.apply_automorphism(alg, A, h) == expect
+    # a fresh automorphism with the same matrix shares the table
+    same = gp.UnipotentAutomorphism(alg, A.matrix)
+    assert gp.apply_automorphism(alg, same, g) == gp.apply_automorphism(alg, A, g)
+
+
 # ---------------------------------------------------------------------------
 # Lattice reduction
 # ---------------------------------------------------------------------------
@@ -286,6 +332,17 @@ def test_reduce_mod_lattice_numeric_matches_exact():
         for a, b in zip(rep, repf):
             d = abs(float(a) - b) % 1.0
             assert min(d, 1.0 - d) <= 1e-9
+
+
+@pytest.mark.parametrize("alg", [H3, H4])
+def test_reduce_mod_lattice_float_roundoff(alg):
+    # t - floor(t) rounds to exactly 1.0 for t = -1e-20
+    for i in range(alg.dim):
+        g = [0.25] * alg.dim
+        g[i] = -1e-20
+        for point in (g, [np.array([t, 0.5]) for t in g]):
+            rep, _ = gp.reduce_mod_lattice(alg, point)
+            assert all(np.all((0 <= t) & (t < 1)) for t in rep)
 
 
 def test_reduce_mod_lattice_batched_matches_scalar():
