@@ -4,7 +4,8 @@ Subcommands: structure (exact subgroup reports), spectrum (autocorrelation
 CSV + spectral report), useminorm (uniformity seminorm CSV), verify (replay
 the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
-config; NILLAB_THREADS caps internal parallelism without changing results.
+config.  NILLAB_THREADS must be a positive integer if set, but it is not yet
+used: every command runs in one thread.
 
 Exit codes: 0 success, 1 validation error, 2 golden-suite failure.
 """
@@ -16,6 +17,7 @@ import json
 import os
 import sys as _sys
 from fractions import Fraction
+from itertools import chain
 
 from . import spectral as sp
 from . import structure as st
@@ -180,53 +182,36 @@ _VERIFY_K = 128
 _VERIFY_SEED = 20240809
 
 
-def _verify_structure(entry, system, out: list[str]) -> bool:
+def _verify_structure(entry, system):
+    """(label, passed) for each golden structure check of one catalog system."""
     exp = entry.expected
-    ok = True
 
-    def check(label, cond):
-        nonlocal ok
-        out.append("%s %s/%s" % ("PASS" if cond else "FAIL", entry.name, label))
-        ok = ok and cond
+    def golden(key):
+        return RationalIdeal(system.algebra, [[Fraction(x) for x in r] for r in exp[key]])
 
-    tc = st.tau_commutator_ideal(system)
-    check("tau_ideal_dim", tc.dim == exp["tau_ideal_dim"])
-    J = st.discrete_factor_subgroup(system)
-    check("J", J.equals(RationalIdeal(system.algebra,
-                                      [[Fraction(x) for x in r] for r in exp["J"]])))
+    yield "tau_ideal_dim", st.tau_commutator_ideal(system).dim == exp["tau_ideal_dim"]
+    yield "J", st.discrete_factor_subgroup(system).equals(golden("J"))
     if "leibman_component" in exp:
         hH = st.leibman_identity_component(system)
-        check("leibman", hH.equals(RationalIdeal(
-            system.algebra, [[Fraction(x) for x in r] for r in exp["leibman_component"]])))
-        check("derived_H", derived_subalgebra(hH).equals(RationalIdeal(
-            system.algebra, [[Fraction(x) for x in r] for r in exp["derived_H"]])))
-        check("leibman_lcs_1", st.leibman_lcs(system, 1).equals(RationalIdeal(
-            system.algebra, [[Fraction(x) for x in r] for r in exp["leibman_lcs_1"]])))
+        yield "leibman", hH.equals(golden("leibman_component"))
+        yield "derived_H", derived_subalgebra(hH).equals(golden("derived_H"))
+        yield "leibman_lcs_1", st.leibman_lcs(system, 1).equals(golden("leibman_lcs_1"))
     if "ergodic" in exp:
         v = st.ergodicity_test(system)
-        check("ergodic", v.ergodic == exp["ergodic"] and v.witness == exp["witness"])
-    return ok
+        yield "ergodic", v.ergodic == exp["ergodic"] and v.witness == exp["witness"]
 
 
-def _verify_spectral(entry, system, out: list[str]) -> bool:
-    ok = True
-
-    def check(label, cond):
-        nonlocal ok
-        out.append("%s %s/%s" % ("PASS" if cond else "FAIL", entry.name, label))
-        ok = ok and cond
-
+def _verify_spectral(entry, system):
+    """(label, passed) for each golden spectral verdict of one catalog system."""
     for spec in entry.observables:
         f = observable_for(entry, spec)
         if spec["verdict"] == "subtorus":
             series = sp.joint_autocorrelation(system, f, (8, 8), _VERIFY_N, _VERIFY_SEED)
-            check("obs_%s" % spec["name"],
-                  sp.subtorus_support_test(series, entry.expected["subtorus_direction"]))
-            continue
-        series = sp.autocorrelation(system, f, _VERIFY_K, _VERIFY_N, _VERIFY_SEED)
-        report = sp.classify(series)
-        check("obs_%s" % spec["name"], report.verdict == spec["verdict"])
-    return ok
+            ok = sp.subtorus_support_test(series, entry.expected["subtorus_direction"])
+        else:
+            series = sp.autocorrelation(system, f, _VERIFY_K, _VERIFY_N, _VERIFY_SEED)
+            ok = sp.classify(series).verdict == spec["verdict"]
+        yield "obs_%s" % spec["name"], ok
 
 
 def cmd_verify(config: dict | None = None) -> tuple[str, int]:
@@ -234,8 +219,9 @@ def cmd_verify(config: dict | None = None) -> tuple[str, int]:
     all_ok = True
     for entry in catalog_list():
         system = catalog_build(entry.name)
-        all_ok = _verify_structure(entry, system, out) and all_ok
-        all_ok = _verify_spectral(entry, system, out) and all_ok
+        for label, ok in chain(_verify_structure(entry, system), _verify_spectral(entry, system)):
+            out.append("%s %s/%s" % ("PASS" if ok else "FAIL", entry.name, label))
+            all_ok = all_ok and ok
     out.append("RESULT %s" % ("PASS" if all_ok else "FAIL"))
     return "\n".join(out) + "\n", (0 if all_ok else 2)
 
@@ -258,28 +244,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("structure", help="exact subgroup and ergodicity report")
     common(s)
-    s.add_argument("--k", type=int, default=1, help="factor level for the lcs tower")
+    s.add_argument("--k", type=int, help="factor level for the lcs tower (default 1)")
 
     s = sub.add_parser("spectrum", help="autocorrelation series and spectral report")
     common(s)
     s.add_argument("--observable", action="append", metavar="K1,..,KM:AMP")
-    s.add_argument("--lags", type=int, default=256)
-    s.add_argument("--samples", type=int, default=10 ** 5)
+    s.add_argument("--lags", type=int, help="largest lag K (default 256)")
+    s.add_argument("--samples", type=int, help="QMC sample count N (default 10^5)")
     s.add_argument("--seed", type=int)
-    s.add_argument("--grid", type=int, default=64)
+    s.add_argument("--grid", type=int, help="Fejer grid size (default 64)")
 
     s = sub.add_parser("useminorm", help="uniformity seminorm estimates")
     common(s)
     s.add_argument("--observable", action="append", metavar="K1,..,KM:AMP")
-    s.add_argument("--samples", type=int, default=10 ** 5)
+    s.add_argument("--samples", type=int, help="QMC sample count N (default 10^5)")
     s.add_argument("--seed", type=int)
-    s.add_argument("--levels", type=int, nargs="+", default=None,
-                   help="H per recursion stage; one U^s row per prefix")
+    s.add_argument("--levels", type=int, nargs="+",
+                   help="H per recursion stage; one U^s row per prefix (default 64)")
 
     for name, help_ in (("verify", "replay the built-in golden suite"),
                         ("catalog", "list built-in systems")):
         sub.add_parser(name, help=help_).add_argument("--out", help="output file (default stdout)")
+    for s in sub.choices.values():
+        s.set_defaults(flags=s._actions)  # what a config file's keys are checked against
     return p
+
+
+def _config_value(flag: argparse.Action, value):
+    """A config file's value for a flag, checked and converted as the flag's own."""
+    listed = flag.nargs == "+" or isinstance(flag, argparse._AppendAction)
+    kind = flag.type or str
+    items = value if listed and isinstance(value, list) else [value]
+    if isinstance(value, list) != listed or any(type(v) not in (kind, str) for v in items):
+        raise ConfigError("config key %r must be %s%s, got %s" % (
+            flag.dest, "a list of " if listed else "", kind.__name__, json.dumps(value)))
+    try:
+        items = [kind(v) for v in items]
+    except ValueError:
+        raise ConfigError("config key %r: invalid %s value %s" % (
+            flag.dest, kind.__name__, json.dumps(value)))
+    return items if listed else items[0]
 
 
 def _config_from_args(args) -> dict:
@@ -294,11 +298,16 @@ def _config_from_args(args) -> dict:
                 raise ConfigError("malformed config: %s" % exc)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-    for key in ("system", "observable", "lags", "samples", "seed", "grid", "k",
-                "levels", "out"):
-        v = getattr(args, key, None)
+        if not isinstance(config.get("params", {}), dict):
+            raise ConfigError("config key 'params' must be an object of name: value pairs")
+    for flag in args.flags:
+        if flag.dest in ("help", "config", "params"):
+            continue
+        v = getattr(args, flag.dest)
         if v is not None:
-            config[key] = v
+            config[flag.dest] = v
+        elif flag.dest in config:
+            config[flag.dest] = _config_value(flag, config[flag.dest])
     if getattr(args, "params", None):
         config["params"] = _parse_params(args.params)
     return config

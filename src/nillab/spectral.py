@@ -10,7 +10,7 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import islice, product
 
 import numpy as np
 
@@ -127,9 +127,12 @@ def translated_observable(sys: AffineNilsystem, f, h_coords):
 class AutocorrelationSeries:
     """Estimated Fourier coefficients c(n) of a spectral measure.
 
-    For one generator ``lags`` is a list of ints; for two it is a list of
-    (n1, n2) pairs.  Hermitian symmetry c(-n) = conj(c(n)) holds exactly:
-    negative lags are filled from the mirrored estimate.
+    The lags fill the box |n_i| <= K_i in row-major order: for one generator
+    ``lags`` is the list of ints -K..K, for two the list of (n1, n2) pairs.
+    ``reach`` holds (K_1, ..., K_g), read off the first lag, and ``box`` the
+    values as an array over the box, ``box[K + n] = c(n)``.  Hermitian
+    symmetry c(-n) = conj(c(n)) holds exactly: negative lags are filled from
+    the mirrored estimate.
     """
 
     lags: list
@@ -139,18 +142,36 @@ class AutocorrelationSeries:
     generators: int = 1
 
     def __post_init__(self):
-        self._index = {
-            (l if self.generators > 1 else (l,)): i for i, l in enumerate(self.lags)
-        }
+        corner = self.lags[0] if self.generators > 1 else (self.lags[0],)
+        self.reach = tuple(-n for n in corner)
+        if len(self.lags) != np.prod([2 * K + 1 for K in self.reach]):
+            raise ValueError("lags must fill the box |n_i| <= K_i in row-major order")
+
+    @property
+    def box(self) -> np.ndarray:
+        """``values`` as a row-major view over the lag box."""
+        return np.reshape(self.values, [2 * K + 1 for K in self.reach])
 
     def value(self, *lag) -> complex:
-        return complex(self.values[self._index[tuple(lag)]])
+        if len(lag) != len(self.reach) or any(abs(n) > K for n, K in zip(lag, self.reach)):
+            raise KeyError(lag)
+        return complex(self.box[tuple(n + K for n, K in zip(lag, self.reach))])
 
     def c0(self) -> float:
-        return abs(self.value(*((0,) * self.generators)))
+        return abs(complex(self.box[self.reach]))
 
-    def max_abs_lag(self) -> int:
-        return max(max(abs(v) for v in ((l,) if self.generators == 1 else l)) for l in self.lags)
+
+def _hermitian(half: np.ndarray) -> np.ndarray:
+    """The full lag box from its rows n_1 = 0..K_1, by c(-n) = conj(c(n))."""
+    return np.concatenate([np.conj(np.flip(half[1:])), half])
+
+
+def _orbit(step, pts, reach: int):
+    """pts, step(pts), ..., step^reach(pts): exactly ``reach`` steps."""
+    yield pts
+    for _ in range(reach):
+        pts = step(pts)
+        yield pts
 
 
 def _check_lag(lag: int) -> None:
@@ -175,19 +196,12 @@ def autocorrelation_many(sys: AffineNilsystem, fs: list, lag_range: int, N: int,
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
     base = [np.conj(f(pts)) for f in fs]
-    sums = [np.empty(lag_range + 1, dtype=complex) for _ in fs]
-    cur = pts
-    for n in range(lag_range + 1):
-        if n > 0:
-            cur = num.step(cur)
+    half = np.empty((len(fs), lag_range + 1), dtype=complex)
+    for n, cur in enumerate(_orbit(num.step, pts, lag_range)):
         for q, f in enumerate(fs):
-            sums[q][n] = np.mean(base[q] * f(cur))
+            half[q, n] = np.mean(base[q] * f(cur))
     lags = list(range(-lag_range, lag_range + 1))
-    out = []
-    for q in range(len(fs)):
-        vals = np.concatenate([np.conj(sums[q][1:][::-1]), sums[q]])
-        out.append(AutocorrelationSeries(lags, vals, N, seed, generators=1))
-    return out
+    return [AutocorrelationSeries(lags, _hermitian(h), N, seed) for h in half]
 
 
 def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int,
@@ -203,32 +217,16 @@ def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
     base = np.conj(f(pts))
-    table: dict[tuple[int, int], complex] = {}
-    cur1 = pts
-    for n1 in range(K1 + 1):
-        if n1 > 0:
-            cur1 = num.step(cur1)
-        n2_lo = 0 if n1 == 0 else -K2
-        fwd = cur1
-        for n2 in range(0, K2 + 1):
-            if n2 > 0:
-                fwd = num.step2(fwd)
-            if n2 >= n2_lo:
-                table[(n1, n2)] = complex(np.mean(base * f(fwd)))
-        bwd = cur1
-        for n2 in range(-1, n2_lo - 1, -1):
-            bwd = num.step2_inverse(bwd)
-            table[(n1, n2)] = complex(np.mean(base * f(bwd)))
-    lags = []
-    vals = []
-    for n1 in range(-K1, K1 + 1):
-        for n2 in range(-K2, K2 + 1):
-            lags.append((n1, n2))
-            if (n1, n2) in table:
-                vals.append(table[(n1, n2)])
-            else:
-                vals.append(np.conj(table[(-n1, -n2)]))
-    return AutocorrelationSeries(lags, np.array(vals), N, seed, generators=2)
+    # rows n1 = 0..K1; row 0 walks n2 >= 0 only and is mirrored like a 1-D series
+    half = np.empty((K1 + 1, 2 * K2 + 1), dtype=complex)
+    for n1, cur in enumerate(_orbit(num.step, pts, K1)):
+        half[n1, K2:] = [np.mean(base * f(x)) for x in _orbit(num.step2, cur, K2)]
+        if n1:
+            bwd = islice(_orbit(num.step2_inverse, cur, K2), 1, None)
+            half[n1, :K2][::-1] = [np.mean(base * f(x)) for x in bwd]
+    half[0] = _hermitian(half[0, K2:])
+    lags = list(product(range(-K1, K1 + 1), range(-K2, K2 + 1)))
+    return AutocorrelationSeries(lags, _hermitian(half).ravel(), N, seed, generators=2)
 
 
 def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, int],
@@ -245,10 +243,8 @@ def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, i
     if (k1, k2) == (0, 0) or gcd(abs(k1), abs(k2)) != 1:
         raise ValueError("direction must be a nonzero coprime pair")
     tol = CALIBRATION["support_tolerance"] if tolerance is None else tolerance
-    for (n1, n2), v in zip(series.lags, series.values):
-        if k1 * n1 + k2 * n2 != 0 and abs(v) > tol:
-            return False
-    return True
+    n1, n2 = np.ogrid[tuple(slice(-K, K + 1) for K in series.reach)]
+    return not np.any(np.abs(series.box[k1 * n1 + k2 * n2 != 0]) > tol)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +278,11 @@ def wiener_atom_mass(series: AutocorrelationSeries) -> AtomMass:
         raise ValueError("atom mass is defined for one-generator series")
     if len(series.lags) < 64:
         raise ValueError("need at least 64 lags")
-    K = series.max_abs_lag()
+    (K,) = series.reach
+    power = np.abs(series.values) ** 2
 
     def cesaro(k: int) -> float:
-        s = 0.0
-        for n in range(-k, k + 1):
-            s += abs(series.value(n)) ** 2
-        return s / (2 * k + 1)
+        return float(np.mean(power[K - k : K + k + 1]))
 
     return AtomMass(cesaro(K), cesaro(K // 2), K)
 
@@ -301,25 +295,15 @@ def fejer_density(series: AutocorrelationSeries, grid_size: int) -> np.ndarray:
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    if series.generators == 1:
-        K = series.max_abs_lag()
-        theta = np.arange(grid_size) / grid_size
-        dens = np.zeros(grid_size)
-        for n in range(-K, K + 1):
-            w = 1.0 - abs(n) / (K + 1.0)
-            dens += np.real(w * series.value(n) * np.exp(-1j * TWO_PI * n * theta))
-        return np.clip(dens, 0.0, None)
-    K1 = max(abs(l[0]) for l in series.lags)
-    K2 = max(abs(l[1]) for l in series.lags)
-    t1 = np.arange(grid_size) / grid_size
-    t2 = np.arange(grid_size) / grid_size
-    dens = np.zeros((grid_size, grid_size))
-    for (n1, n2), v in zip(series.lags, series.values):
-        w = (1.0 - abs(n1) / (K1 + 1.0)) * (1.0 - abs(n2) / (K2 + 1.0))
-        dens += np.real(
-            w * v * np.exp(-1j * TWO_PI * n1 * t1)[:, None] * np.exp(-1j * TWO_PI * n2 * t2)[None, :]
-        )
-    return np.clip(dens, 0.0, None)
+    theta = np.arange(grid_size) / grid_size
+    dens = series.box
+    for K in series.reach:
+        # contract the leading lag axis against the Fejer-weighted characters;
+        # its grid axis goes last, so the grid axes end in generator order
+        n = np.arange(-K, K + 1)
+        kernel = (1.0 - np.abs(n) / (K + 1.0)) * np.exp(-1j * TWO_PI * np.outer(theta, n))
+        dens = np.tensordot(dens, kernel, axes=(0, 1))
+    return np.clip(dens.real, 0.0, None)
 
 
 @dataclass
@@ -351,7 +335,7 @@ def classify(series: AutocorrelationSeries, grid_size: int = 64) -> SpectralRepo
         verdict=verdict,
         c0=c0,
         sample_count=series.sample_count,
-        K=series.max_abs_lag(),
+        K=am.K,
         seed=series.seed,
     )
 
@@ -408,18 +392,15 @@ def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
         raise ValueError("need one H per recursion level")
     if any(h < 1 for h in H_levels):
         raise ValueError("every H must be >= 1, got %r" % (H_levels,))
+    depth = 1 + sum(H_levels)
+    _check_lag(depth)
     num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
+    G = np.empty((depth, N), dtype=complex)
+    for t, cur in enumerate(_orbit(num.step, num.sample_points(N, seed), depth - 1)):
+        G[t] = f(cur)
 
     def estimate(levels: tuple[int, ...]) -> float:
-        depth = 1 + sum(levels)
-        _check_lag(depth)
-        G = np.empty((depth, N), dtype=complex)
-        cur = pts
-        for t in range(depth):
-            if t > 0:
-                cur = num.step(cur)
-            G[t] = f(cur)
+        # reads only the rows 0..sum(levels) of G
         p = _seminorm_power(G, s, levels)
         return max(p.real, 0.0) ** (1.0 / (2 ** s)) if s else abs(p)
 

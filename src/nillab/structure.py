@@ -20,7 +20,7 @@ from . import group as gp
 from . import linalg
 from .algebra import NilLieAlgebra, RationalIdeal
 from .group import UnipotentAutomorphism
-from .scalars import ExtScalar, SymbolContext, evaluate_scalar
+from .scalars import ExtScalar, SymbolContext, evaluate_scalar, rational_slices, scalar_context
 
 
 class SystemValidationError(ValueError):
@@ -204,15 +204,12 @@ def leibman_identity_component(sys: AffineNilsystem) -> RationalIdeal:
     rational subspace carrying the irrational part of that translation.
     """
     alg = sys.algebra
-    h0 = rational_closure_J(sys, tau_commutator_ideal(sys))
+    h0 = discrete_factor_subgroup(sys)
     if h0.dim == alg.dim:
         return h0
     fd = quotient_system(sys, h0)
-    qalg = fd.quotient.algebra
-    wbar = gp.second_to_first(qalg, fd.quotient.g_tau)
-    lifts = []
-    for s in _nonconstant_slices(wbar):
-        lifts.append(fd.lift_vector(s))
+    wbar = gp.second_to_first(fd.quotient.algebra, fd.quotient.g_tau)
+    lifts = [fd.lift_vector(s) for s in _nonconstant_slices(wbar)]
     hH = la.rational_hull(
         RationalIdeal(alg, h0.basis + lifts), close_ideal=True
     )
@@ -223,15 +220,9 @@ def leibman_identity_component(sys: AffineNilsystem) -> RationalIdeal:
 
 def _nonconstant_slices(v: list) -> list[list[Fraction]]:
     """Rational slice vectors of the non-constant monomials of v."""
-    from .scalars import scalar_context
-
     ctx = scalar_context(v)
-    out = []
     lifted = [ExtScalar.lift(x, ctx) for x in v]
-    monos = sorted({e for x in lifted for e in x.terms if any(e)})
-    for e in monos:
-        out.append([x.terms.get(e, Fraction(0)) for x in lifted])
-    return out
+    return rational_slices([x - x.constant_term() for x in lifted], ctx)
 
 
 def leibman_lcs(sys: AffineNilsystem, k: int) -> RationalIdeal:
@@ -332,25 +323,20 @@ def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
             if cs:
                 brackets[(a, b)] = cs
     qalg = NilLieAlgebra.from_brackets(mq, brackets)
-    fd_proto = FactorData(kernel=N, quotient=None, proj_matrix=proj_rows, nonpivot=nonpivot)  # type: ignore[arg-type]
-    # induced automorphism
-    qmat = []
-    for b in range(mq):
-        col = fd_proto.project_log(sys.A.apply_vector(alg.basis_vector(nonpivot[b])))
-        qmat.append(col)
-    qA = UnipotentAutomorphism(qalg, [[qmat[b][k] for b in range(mq)] for k in range(mq)])
-    qg = gp.first_to_second(qalg, fd_proto.project_log(gp.second_to_first(alg, sys.g_tau)))
+    project_log = gp.PolynomialMap.linear(proj_rows)
+
+    def induced(A: UnipotentAutomorphism, g: list) -> tuple[UnipotentAutomorphism, list]:
+        """The map x -> g A(x) of the quotient: A on the surviving basis, g projected."""
+        cols = [project_log(A.apply_vector(alg.basis_vector(i))) for i in nonpivot]
+        qA = UnipotentAutomorphism(qalg, [[col[k] for col in cols] for k in range(mq)])
+        return qA, gp.first_to_second(qalg, project_log(gp.second_to_first(alg, g)))
+
+    qA, qg = induced(sys.A, sys.g_tau)
     second = None
     if sys.second is not None:
-        A2, g2 = sys.second
-        if not _automorphism_invariant(A2, N):
+        if not _automorphism_invariant(sys.second[0], N):
             raise SystemValidationError("kernel is not invariant under the second automorphism")
-        qmat2 = []
-        for b in range(mq):
-            qmat2.append(fd_proto.project_log(A2.apply_vector(alg.basis_vector(nonpivot[b]))))
-        qA2 = UnipotentAutomorphism(qalg, [[qmat2[b][k] for b in range(mq)] for k in range(mq)])
-        qg2 = gp.first_to_second(qalg, fd_proto.project_log(gp.second_to_first(alg, g2)))
-        second = (qA2, qg2)
+        second = induced(*sys.second)
     qsys = AffineNilsystem(qalg, qA, qg, context=sys.context, second=second,
                            name=sys.name + "/N" if sys.name else "",
                            default_assignment=sys.default_assignment)

@@ -110,6 +110,42 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out1 != out2
 
 
+def test_config_file_values_are_used(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "rot_torus", "observable": ["1:1"], "samples": 2000, "lags": 40,
+        "seed": 7, "grid": 16,
+    }))
+    code, out, _ = run(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == 0
+    assert "# N=2000 K=40 seed=7" in out
+    assert len([l for l in out.splitlines() if l[:1].isdigit() or l[:1] == "-"]) == 81
+    cfg.write_text(json.dumps({"system": "heisenberg4", "k": 2}))
+    code, out, _ = run(capsys, ["structure", "--config", str(cfg)])
+    assert code == 0 and "leibman_lcs(k=2)" in out
+    code, out, _ = run(capsys, ["structure", "--config", str(cfg), "--k", "0"])
+    assert code == 0 and "leibman_lcs(k=0)" in out
+
+
+@pytest.mark.parametrize("command,config", [
+    ("useminorm", {"system": "skew_torus_nonergodic", "observable": ["0,1:1"],
+                   "samples": 2048, "seed": 3, "levels": 64}),
+    ("spectrum", {"system": "rot_torus", "observable": ["1:1"], "samples": 2048, "seed": [1]}),
+    ("structure", {"system": 5}),
+    ("structure", {"system": "heisenberg3", "k": "two"}),
+    ("structure", {"system": "heisenberg3", "k": 1.5}),
+    ("spectrum", {"system": "rot_torus", "observable": "1:1", "seed": 1}),
+    ("structure", {"system": "rot_torus", "params": 5}),
+])
+def test_wrongly_typed_config_exits_1(capsys, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_config_file(capsys):
     code, out, err = run(capsys, ["spectrum", "--config", "/tmp/does_not_exist.json"])
     assert code == 1

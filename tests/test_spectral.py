@@ -76,6 +76,8 @@ def test_autocorrelation_of_character_on_rotation():
     series = autocorrelation(sys, f, 32, 2048, seed=1)
     for n in range(-32, 33):
         assert abs(series.value(n) - np.exp(2j * np.pi * n * alpha)) <= 1e-10
+    with pytest.raises(KeyError):
+        series.value(33)
 
 
 def test_autocorrelation_hermitian_symmetry_and_bound():
@@ -133,6 +135,27 @@ def test_wiener_atom_mass_flat_series():
     assert float(am) == am.value
 
 
+def hermitian_series(K, seed):
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    half[0] = abs(half[0]) + 2.0
+    v = np.concatenate([np.conj(half[1:][::-1]), half])
+    return AutocorrelationSeries(list(range(-K, K + 1)), v, 1000, 0)
+
+
+def test_wiener_atom_mass_matches_cesaro_formula():
+    K = 100
+    series = hermitian_series(K, seed=20)
+
+    def cesaro(k):
+        return sum(abs(series.value(n)) ** 2 for n in range(-k, k + 1)) / (2 * k + 1)
+
+    am = wiener_atom_mass(series)
+    assert am.K == K
+    assert am.value == pytest.approx(cesaro(K), rel=1e-13)
+    assert am.half_window_value == pytest.approx(cesaro(K // 2), rel=1e-13)
+
+
 def test_wiener_atom_mass_needs_enough_lags():
     with pytest.raises(ValueError):
         wiener_atom_mass(ones_series(16))
@@ -147,6 +170,26 @@ def test_fejer_density_shapes():
     assert dens[32] <= 0.05 * dens[0]
     with pytest.raises(ValueError):
         fejer_density(ones_series(64), 8)
+
+
+def test_fejer_density_two_generators_matches_double_sum():
+    K1, K2, grid = 3, 5, 16
+    rng = np.random.default_rng(21)
+    lags = [(n1, n2) for n1 in range(-K1, K1 + 1) for n2 in range(-K2, K2 + 1)]
+    c = {l: complex(rng.normal(), rng.normal()) for l in lags if l >= (0, 0)}
+    c[(0, 0)] = 4.0
+    c.update({(-n1, -n2): np.conj(v) for (n1, n2), v in list(c.items())})
+    series = AutocorrelationSeries(lags, np.array([c[l] for l in lags]), 1000, 0, generators=2)
+    t = np.arange(grid) / grid
+    brute = np.zeros((grid, grid))
+    for i in range(grid):
+        for j in range(grid):
+            brute[i, j] = sum(
+                ((1 - abs(n1) / (K1 + 1)) * (1 - abs(n2) / (K2 + 1))
+                 * c[(n1, n2)] * np.exp(-2j * np.pi * (n1 * t[i] + n2 * t[j]))).real
+                for n1, n2 in lags
+            )
+    assert np.max(np.abs(fejer_density(series, grid) - np.clip(brute, 0.0, None))) <= 1e-12
 
 
 def test_classify_verdicts_on_exact_series():
@@ -170,6 +213,17 @@ def test_seminorm_of_constant_is_one():
         est = uniformity_seminorm(sys, f, s, 16, 2048, seed=5)
         assert est.value == pytest.approx(1.0, abs=1e-10)
         assert est.stability_delta <= 1e-10
+
+
+def test_seminorm_stability_delta_is_halved_level_difference():
+    sys = catalog_build("skew_torus_nonergodic")
+    f = Observable(2, {(0, 1): 1.0, (1, 1): 0.5})
+    levels = (9, 6, 3)
+    for s in (1, 2, 3):
+        est = uniformity_seminorm(sys, f, s, levels[:s], 1024, seed=7)
+        halved = tuple(max(1, h // 2) for h in levels[:s])
+        half = uniformity_seminorm(sys, f, s, halved, 1024, seed=7)
+        assert est.stability_delta == abs(est.value - half.value)
 
 
 def test_seminorm_validation():
@@ -299,6 +353,30 @@ def test_joint_autocorrelation_constant():
     series = joint_autocorrelation(sys, Observable.constant(2), (6, 6), 1024, seed=10)
     assert np.max(np.abs(series.values - 1.0)) <= 1e-12
     assert series.generators == 2
+
+
+def test_joint_autocorrelation_matches_direct_orbit_means():
+    sys = catalog_build("z2_skew")
+    f = Observable(2, {(0, 1): 1.0, (1, 2): 0.5})
+    K1, K2 = 3, 2
+    series = joint_autocorrelation(sys, f, (K1, K2), 1024, seed=13)
+    assert series.lags[0] == (-K1, -K2) and len(series.values) == (2 * K1 + 1) * (2 * K2 + 1)
+    num = sys.numeric()
+    pts = num.sample_points(1024, 13)
+    base = np.conj(f(pts))
+    for n1 in range(-K1, K1 + 1):
+        for n2 in range(-K2, K2 + 1):
+            if (n1, n2) < (0, 0):  # filled by Hermitian symmetry
+                assert series.value(n1, n2) == np.conj(series.value(-n1, -n2))
+                continue
+            x = pts
+            for _ in range(n1):
+                x = num.step(x)
+            for _ in range(abs(n2)):
+                x = num.step2(x) if n2 > 0 else num.step2_inverse(x)
+            assert abs(series.value(n1, n2) - np.mean(base * f(x))) <= 1e-12
+    with pytest.raises(KeyError):
+        series.value(K1 + 1, 0)
 
 
 def test_joint_hermitian_symmetry():
