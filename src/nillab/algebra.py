@@ -223,11 +223,11 @@ def smallest_ideal_containing(alg: NilLieAlgebra, vectors: list[list]) -> Ration
         rows = closed
 
 
-def rational_hull(V: RationalIdeal, close_ideal: bool = True) -> RationalIdeal:
-    """Smallest rational subspace (or ideal) containing V.
+def rational_hull(V: RationalIdeal) -> RationalIdeal:
+    """Smallest rational ideal containing V.
 
-    Iterates monomial slicing and, when requested, bracket closure with the
-    full algebra until a joint fixpoint; bounded by the algebra dimension.
+    Iterates monomial slicing and bracket closure with the full algebra until
+    a joint fixpoint; bounded by the algebra dimension.
     """
     alg = V.parent
     rows = V.basis
@@ -235,10 +235,7 @@ def rational_hull(V: RationalIdeal, close_ideal: bool = True) -> RationalIdeal:
         sliced = []
         for v in rows:
             sliced.extend([list(s) for s in rational_slices(v)])
-        if close_ideal:
-            closed = smallest_ideal_containing(alg, sliced).basis if sliced else []
-        else:
-            closed = linalg.echelon(sliced)
+        closed = smallest_ideal_containing(alg, sliced).basis if sliced else []
         if len(closed) == len(rows) and linalg.spans_equal(closed, rows):
             return RationalIdeal(alg, closed)
         rows = closed

@@ -261,6 +261,14 @@ def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
     return substitute_params(sys, params)
 
 
+def _rational(name: str, value) -> Fraction:
+    """The rational a parameter value's text denotes: 0.1 is 1/10, not its binary value."""
+    try:
+        return Fraction(str(value))
+    except ValueError:
+        raise ValueError("parameter %r must be a rational or 'symbolic', got %r" % (name, value))
+
+
 def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsystem:
     """``sys`` with its symbols resolved.
 
@@ -277,7 +285,7 @@ def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsys
     missing = set(symbols) - set(params)
     if missing:
         raise ValueError("missing parameters %r for %r" % (sorted(missing), sys.name))
-    subst = {n: Fraction(v) for n, v in params.items() if v != "symbolic"}
+    subst = {n: _rational(n, v) for n, v in params.items() if v != "symbolic"}
     if not subst:
         return sys
     kept = tuple(n for n in symbols if n not in subst)

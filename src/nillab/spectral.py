@@ -107,13 +107,17 @@ class Observable:
         return "Observable(%r)" % (self.terms,)
 
 
+def _translate(alg, z, pts: list) -> list:
+    """Reduced coordinates of psi(z) x for every point x of the batch."""
+    return gp.reduce_mod_lattice(alg, gp.multiply(alg, z, pts))[0]
+
+
 def translated_observable(sys: AffineNilsystem, f, h_coords):
     """f composed with left translation by psi(h_coords): x -> f(h * x)."""
     alg = sys.algebra
 
     def g(pts):
-        rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, h_coords, pts))
-        return f(rep)
+        return f(_translate(alg, h_coords, pts))
 
     return g
 
@@ -414,100 +418,55 @@ def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
 # ---------------------------------------------------------------------------
 
 
-def _primitive_ideal_basis(N_ideal: RationalIdeal) -> list[list[float]]:
-    return [
-        [float(c) for c in linalg.primitive_integer_vector(v)] for v in N_ideal.basis
-    ]
+def _primitive_ideal_basis(N_ideal: RationalIdeal) -> np.ndarray:
+    """The ideal's basis rows as primitive integer vectors, one float row each."""
+    rows = [linalg.primitive_integer_vector(v) for v in N_ideal.basis]
+    return np.array(rows, dtype=float).reshape(len(rows), N_ideal.parent.dim)
 
 
-class FactorProjection:
-    """Coset average of an observable over the exp(N)-fiber through each point.
-
-    Callable on numeric point batches; the average uses a midpoint grid in the
-    subgroup's coordinate cube, which annihilates exactly the nonzero integer
-    frequencies below the grid resolution.
-    """
-
-    def __init__(self, sys: AffineNilsystem, f, N_ideal: RationalIdeal, samples: int = 16):
-        if N_ideal.dim and (not N_ideal.is_rational or not N_ideal.is_ideal):
-            raise ValueError("factor kernel must be a rational ideal")
-        if not all(
-            N_ideal.contains(sys.A.apply_vector(v)) for v in N_ideal.basis
-        ):
-            raise ValueError("factor kernel must be invariant under the automorphism")
-        self.sys = sys
-        self.f = f
-        self.ideal = N_ideal
-        self.samples = int(samples)
-        self._dirs = _primitive_ideal_basis(N_ideal)
-        self._exact = self._exact_average()
-
-    def _exact_average(self):
-        """Exact conditional expectation when the kernel is spanned by central
-        coordinate axes and f is a trigonometric polynomial: translation by
-        exp(u xi_j) is then a pure shift of coordinate j, so averaging simply
-        drops every term with a nonzero frequency on those coordinates."""
-        if not isinstance(self.f, Observable):
-            return None
-        alg = self.sys.algebra
-        axes = []
-        for d in self._dirs:
-            nz = [j for j, c in enumerate(d) if c]
-            if len(nz) != 1 or abs(d[nz[0]]) != 1:
-                return None
-            j = nz[0]
-            if any(
-                not la.vec_is_zero(alg.bracket(alg.basis_vector(j), e))
-                for e in alg.basis()
-            ):
-                return None
-            axes.append(j)
-        kept = {
-            k: a for k, a in self.f.terms.items() if all(k[j] == 0 for j in axes)
-        }
-        return Observable(self.f.dim, kept)
-
-    def __call__(self, pts: list) -> np.ndarray:
-        if self._exact is not None:
-            return self._exact(pts)
-        alg = self.sys.algebra
-        r = len(self._dirs)
-        if r == 0:
-            return self.f(pts)
-        M = self.samples
-        total = None
-        for idx in np.ndindex(*([M] * r)):
-            w = [0.0] * alg.dim
-            for a in range(r):
-                u = (idx[a] + 0.5) / M
-                for j in range(alg.dim):
-                    w[j] += u * self._dirs[a][j]
-            z = gp.first_to_second(alg, w)
-            rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, z, pts))
-            val = self.f(rep)
-            total = val if total is None else total + val
-        return total / (M ** r)
-
-
-class ComplementObservable:
-    def __init__(self, f, projection: FactorProjection):
-        self.f = f
-        self.projection = projection
-        self._exact = None
-        if projection._exact is not None and isinstance(f, Observable):
-            self._exact = f + (-1.0) * projection._exact
-
-    def __call__(self, pts: list) -> np.ndarray:
-        if self._exact is not None:
-            return self._exact(pts)
-        return self.f(pts) - self.projection(pts)
+def _commutes(alg, xs, ys) -> bool:
+    """True when [x, y] = 0 for every x in xs and y in ys."""
+    return all(la.vec_is_zero(alg.bracket(x, y)) for x in xs for y in ys)
 
 
 def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
                       samples: int = 16):
-    """Split f into its conditional expectation on G/exp(N) and the complement."""
-    proj = FactorProjection(sys, f, N_ideal, samples)
-    return proj, ComplementObservable(f, proj)
+    """Split f into its conditional expectation on G/exp(N) and the complement.
+
+    When f is an :class:`Observable` and N is spanned by central coordinate
+    axes, translation by exp(N) only shifts those coordinates, so the
+    expectation is exact: both parts are Observables, the terms of f with zero
+    frequency on the axes and the remaining terms.  Otherwise the expectation
+    is the average of f over the exp(N)-coset through each point, on a
+    midpoint grid of ``samples`` points per direction of N (which annihilates
+    exactly the nonzero integer frequencies below the grid resolution), and
+    the complement is f minus it; both parts are then callables on numeric
+    point batches.
+    """
+    if N_ideal.dim and (not N_ideal.is_rational or not N_ideal.is_ideal):
+        raise ValueError("factor kernel must be a rational ideal")
+    if not all(N_ideal.contains(sys.A.apply_vector(v)) for v in N_ideal.basis):
+        raise ValueError("factor kernel must be invariant under the automorphism")
+    alg = sys.algebra
+    dirs = _primitive_ideal_basis(N_ideal)
+    # a primitive vector with one nonzero entry is +-1 times a coordinate axis
+    axes = [int(np.flatnonzero(d)[0]) for d in dirs if np.count_nonzero(d) == 1]
+    if (isinstance(f, Observable) and len(axes) == len(dirs)
+            and _commutes(alg, [alg.basis_vector(j) for j in axes], alg.basis())):
+        kept = {k: a for k, a in f.terms.items() if not any(k[j] for j in axes)}
+        rest = {k: a for k, a in f.terms.items() if k not in kept}
+        return Observable(f.dim, kept), Observable(f.dim, rest)
+    M = int(samples)
+    u = (np.array(list(np.ndindex(*[M] * len(dirs)))) + 0.5) / M
+    zs = [gp.first_to_second(alg, w.tolist()) for w in u @ dirs]
+
+    def projection(pts: list) -> np.ndarray:
+        return sum(f(_translate(alg, z, pts)) for z in zs) / len(zs)
+
+    def complement(pts: list) -> np.ndarray:
+        return f(pts) - projection(pts)
+
+    return projection, complement
 
 
 def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdeal,
@@ -517,10 +476,8 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
     alg = sys.algebra
     if central_ideal.dim and not central_ideal.is_rational:
         raise ValueError("central ideal must be rational")
-    for v in central_ideal.basis:
-        for e in alg.basis():
-            if not la.vec_is_zero(alg.bracket(v, e)):
-                raise ValueError("ideal is not central")
+    if not _commutes(alg, central_ideal.basis, alg.basis()):
+        raise ValueError("ideal is not central")
     chi = tuple(int(k) for k in np.atleast_1d(chi_frequency))
     if len(chi) != central_ideal.dim:
         raise ValueError("character frequency has wrong length")
@@ -529,17 +486,12 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
     rng = np.random.default_rng(seed if seed is not None else 0)
-    us = rng.random((8, len(dirs))) if dirs else np.zeros((1, 0))
+    us = rng.random((8, len(dirs))) if len(dirs) else np.zeros((1, 0))
     f0 = f(pts)
     for u in us:
-        w = [0.0] * alg.dim
-        for a, ua in enumerate(u):
-            for j in range(alg.dim):
-                w[j] += ua * dirs[a][j]
-        z = gp.first_to_second(alg, w)
-        rep, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, z, pts))
+        z = gp.first_to_second(alg, (u @ dirs).tolist())
         chi_z = np.exp(1j * TWO_PI * sum(k * ua for k, ua in zip(chi, u)))
-        if np.max(np.abs(f(rep) - chi_z * f0)) > tol:
+        if np.max(np.abs(f(_translate(alg, z, pts)) - chi_z * f0)) > tol:
             return False
     return True
 
@@ -557,17 +509,15 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
 
     alg = sys.algebra
     hH = leibman_identity_component(sys)
-    for a in hH.basis:
-        for b in hH.basis:
-            if not la.vec_is_zero(alg.bracket(a, b)):
-                raise ValueError("Leibman component is not abelian; fibers are not rotations")
+    if not _commutes(alg, hH.basis, hH.basis):
+        raise ValueError("Leibman component is not abelian; fibers are not rotations")
     g = [float(c) for c in base_point]
     w = gp.multiply(alg, gp.inverse(alg, g), sys.numeric(assignment).apply(g))
     logw = gp.second_to_first(alg, w)
     # coordinates of log(w) in the primitive basis of the fiber algebra
     dirs = _primitive_ideal_basis(hH)
-    if dirs:
-        Mt = np.array(dirs, dtype=float).T
+    if len(dirs):
+        Mt = dirs.T
         coords, res, _, _ = np.linalg.lstsq(Mt, np.array(logw, dtype=float), rcond=None)
         resid = np.array(logw, dtype=float) - Mt @ coords
         if np.max(np.abs(resid)) > 1e-9:

@@ -184,7 +184,7 @@ def tau_commutator_ideal(sys: AffineNilsystem) -> RationalIdeal:
 
 def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:
     """Smallest rational connected normal subgroup containing V, at algebra level."""
-    return la.rational_hull(V, close_ideal=True)
+    return la.rational_hull(V)
 
 
 def discrete_factor_subgroup(sys: AffineNilsystem) -> RationalIdeal:
@@ -210,9 +210,7 @@ def leibman_identity_component(sys: AffineNilsystem) -> RationalIdeal:
     fd = quotient_system(sys, h0)
     wbar = gp.second_to_first(fd.quotient.algebra, fd.quotient.g_tau)
     lifts = [fd.lift_vector(s) for s in _nonconstant_slices(wbar)]
-    hH = la.rational_hull(
-        RationalIdeal(alg, h0.basis + lifts), close_ideal=True
-    )
+    hH = la.rational_hull(RationalIdeal(alg, h0.basis + lifts))
     if not _automorphism_invariant(sys.A, hH):
         raise SystemValidationError("Leibman component is not automorphism-invariant")
     return hH
@@ -248,7 +246,7 @@ def leibman_lcs(sys: AffineNilsystem, k: int) -> RationalIdeal:
         gens = [g for g in gens if not la.vec_is_zero(g)]
         if not gens:
             return RationalIdeal(alg, [])
-        cur = la.rational_hull(la.smallest_ideal_containing(alg, gens), close_ideal=True)
+        cur = la.rational_hull(la.smallest_ideal_containing(alg, gens))
     return cur
 
 
@@ -372,9 +370,7 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
         return ErgodicityVerdict(True, None)
     derived = la.derived_subalgebra(la.full_algebra(alg))
     tau_ideal = tau_commutator_ideal(sys)
-    N = la.rational_hull(
-        RationalIdeal(alg, derived.basis + tau_ideal.basis), close_ideal=True
-    )
+    N = la.rational_hull(RationalIdeal(alg, derived.basis + tau_ideal.basis))
     if N.dim == alg.dim:
         # torus factor is a point; the only invariant functions are constants
         return ErgodicityVerdict(True, None)

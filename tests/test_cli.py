@@ -136,6 +136,8 @@ def test_config_file_values_are_used(capsys, tmp_path):
     ("structure", {"system": "heisenberg3", "k": 1.5}),
     ("spectrum", {"system": "rot_torus", "observable": "1:1", "seed": 1}),
     ("structure", {"system": "rot_torus", "params": 5}),
+    ("structure", {"system": "rot_torus", "params": {"alpha": [1]}}),
+    ("structure", {"system": "rot_torus", "params": {"alpha": True}}),
 ])
 def test_wrongly_typed_config_exits_1(capsys, tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
@@ -144,6 +146,14 @@ def test_wrongly_typed_config_exits_1(capsys, tmp_path, command, config):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_param_is_the_rational_its_text_denotes(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for alpha in (0.1, "1/10"):
+        cfg.write_text(json.dumps({"system": "rot_torus", "params": {"alpha": alpha}}))
+        code, out, _ = run(capsys, ["structure", "--config", str(cfg)])
+        assert code == 0 and out.endswith("ergodicity: nonergodic witness=10\n")
 
 
 def test_missing_config_file(capsys):

@@ -6,7 +6,7 @@ import pytest
 from nillab import algebra as la
 from nillab import spectral as sp
 from nillab import structure as st
-from nillab.catalog import catalog_build
+from nillab.catalog import catalog_build, catalog_entry, observable_for
 from nillab.spectral import (
     AutocorrelationSeries,
     LagBudgetError,
@@ -275,13 +275,39 @@ def test_projection_generic_quadrature_matches_exact_path():
     center = la.span(sys.algebra, [sys.algebra.basis_vector(2)])
     f = Observable(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0, (2, 0, 3): 0.5})
     proj_fast, _ = project_to_factor(sys, f, center)
-    assert proj_fast._exact is not None
+    assert isinstance(proj_fast, Observable)
     # wrapping in a plain function hides the trigonometric structure and
     # forces the midpoint-quadrature coset average
     proj_slow, _ = project_to_factor(sys, lambda pts: f(pts), center, samples=16)
-    assert proj_slow._exact is None
+    assert not isinstance(proj_slow, Observable)
     pts = sys.numeric().sample_points(32, seed=9)
     assert np.max(np.abs(proj_fast(pts) - proj_slow(pts))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["skew_torus_nonergodic", "heisenberg3"])
+def test_projection_on_dichotomy_kernel_partitions_terms(name):
+    entry = catalog_entry(name)
+    sys = entry.build()
+    J = st.rational_closure_J(sys, st.tau_commutator_ideal(sys))
+    for spec in entry.dichotomy_observables:
+        f = observable_for(entry, spec)
+        proj, compl = project_to_factor(sys, f, J)
+        assert isinstance(proj, Observable) and isinstance(compl, Observable)
+        assert not set(proj.terms) & set(compl.terms)
+        assert {**proj.terms, **compl.terms} == f.terms
+
+
+def test_projection_onto_noncentral_kernel_by_quadrature():
+    sys = catalog_build("heisenberg3")
+    alg = sys.algebra
+    # span(e_y, e_z) is an ideal but not central, so only the coset average applies
+    kernel = la.span(alg, [alg.basis_vector(1), alg.basis_vector(2)])
+    f = Observable(3, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 0.5})
+    e_x = Observable.character(3, (1, 0, 0))
+    proj, compl = project_to_factor(sys, f, kernel)
+    pts = sys.numeric().sample_points(64, seed=10)
+    assert np.max(np.abs(proj(pts) - e_x(pts))) <= 1e-12
+    assert np.max(np.abs(compl(pts) - (f(pts) - e_x(pts)))) <= 1e-12
 
 
 def test_projection_rejects_noninvariant_kernel():
