@@ -9,6 +9,7 @@ Numeric points only meet the algebra through the compiled group law of
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .scalars import ExtScalar, rational_slices
@@ -107,13 +108,12 @@ class NilLieAlgebra:
                         raise AlgebraValidationError(
                             "Jacobi identity fails on basis triple (%d, %d, %d)" % (i, j, k)
                         )
-        series = lower_central_series(self)
+        length = len(lower_central_series(self)) - 1
         if self.step is None:
-            self.step = len(series) - 1
-        elif len(series) != self.step + 1:
+            self.step = length
+        elif length != self.step:
             raise AlgebraValidationError(
-                "declared step %d but lower central series has length %d"
-                % (self.step, len(series) - 1)
+                "declared step %d but lower central series has length %d" % (self.step, length)
             )
 
     def __repr__(self):
@@ -121,28 +121,29 @@ class NilLieAlgebra:
 
 
 class RationalIdeal:
-    """Subspace of a nilpotent Lie algebra with computed ideal/rationality flags.
+    """Subspace of a nilpotent Lie algebra, held by its echelon basis.
 
     The basis is kept in deterministic reduced echelon form.  Despite the
-    name, instances may represent plain subspaces; ``is_ideal`` records
-    whether the span is closed under bracketing with the whole algebra.
+    name, instances may represent plain subspaces: ``is_ideal`` (closed under
+    bracketing with the whole algebra) and ``is_rational`` (spanned by
+    rational vectors) are computed on first read.
     """
 
     def __init__(self, parent: NilLieAlgebra, vectors: list[list]):
         self.parent = parent
         self.basis = linalg.echelon([list(v) for v in vectors])
-        self.is_rational = all(
+
+    @cached_property
+    def is_rational(self) -> bool:
+        return all(
             all(not isinstance(x, ExtScalar) or x.is_rational() for x in row)
             for row in self.basis
         )
-        self.is_ideal = self._check_ideal()
 
-    def _check_ideal(self) -> bool:
-        for row in self.basis:
-            for e in self.parent.basis():
-                if not linalg.in_span(self.basis, self.parent.bracket(row, e)):
-                    return False
-        return True
+    @cached_property
+    def is_ideal(self) -> bool:
+        alg = self.parent
+        return all(self.contains(alg.bracket(row, e)) for row in self.basis for e in alg.basis())
 
     @property
     def dim(self) -> int:
@@ -177,77 +178,60 @@ def full_algebra(parent: NilLieAlgebra) -> RationalIdeal:
 
 
 def _bracket_span(alg: NilLieAlgebra, rows_a: list[list], rows_b: list[list]) -> list[list]:
-    out = []
-    for a in rows_a:
-        for b in rows_b:
-            v = alg.bracket(a, b)
-            if not vec_is_zero(v):
-                out.append(v)
-    return out
+    return [alg.bracket(a, b) for a in rows_a for b in rows_b]
 
 
-def lower_central_series(L) -> list:
+def _closure(alg: NilLieAlgebra, rows: list[list], against: list[list] | None) -> list[list]:
+    """Echelon basis of the least subspace containing ``rows`` and closed under
+    brackets with ``against`` (with itself when ``against`` is None)."""
+    closed = linalg.echelon([list(v) for v in rows])
+    while True:
+        others = closed if against is None else against
+        grown = linalg.echelon(closed + _bracket_span(alg, closed, others))
+        if len(grown) == len(closed):
+            return grown
+        closed = grown
+
+
+def lower_central_series(L) -> list[RationalIdeal]:
     """Series [L_1 = L, L_2, ...] with L_{l+1} = [L_l, L], ending in the zero space.
 
-    Accepts a NilLieAlgebra (meaning its full algebra) or a RationalIdeal;
-    returns RationalIdeals when given a RationalIdeal, otherwise raw echelon
-    bases (used internally during validation).
+    Accepts a NilLieAlgebra (meaning its full algebra) or a RationalIdeal.
     """
-    if isinstance(L, RationalIdeal):
-        alg = L.parent
-        base = L.basis
-        wrap = lambda rows: RationalIdeal(alg, rows)
-    else:
-        alg = L
-        base = linalg.echelon(alg.basis())
-        wrap = lambda rows: rows
-    series = [wrap(base)]
-    current = base
-    while current:
-        nxt = linalg.echelon(_bracket_span(alg, current, base))
-        if len(nxt) >= len(current):
+    if isinstance(L, NilLieAlgebra):
+        L = full_algebra(L)
+    series = [L]
+    while series[-1].dim:
+        nxt = RationalIdeal(L.parent, _bracket_span(L.parent, series[-1].basis, L.basis))
+        if nxt.dim >= series[-1].dim:
             raise AlgebraValidationError("lower central series does not decrease; not nilpotent")
-        series.append(wrap(nxt))
-        current = nxt
+        series.append(nxt)
     return series
 
 
 def smallest_ideal_containing(alg: NilLieAlgebra, vectors: list[list]) -> RationalIdeal:
     """Least subspace containing the vectors and closed under bracket with the algebra."""
-    rows = linalg.echelon([list(v) for v in vectors])
-    while True:
-        new = rows + _bracket_span(alg, rows, alg.basis())
-        closed = linalg.echelon(new)
-        if len(closed) == len(rows):
-            return RationalIdeal(alg, closed)
-        rows = closed
+    return RationalIdeal(alg, _closure(alg, vectors, alg.basis()))
 
 
 def rational_hull(V: RationalIdeal) -> RationalIdeal:
     """Smallest rational ideal containing V.
 
-    Iterates monomial slicing and bracket closure with the full algebra until
-    a joint fixpoint; bounded by the algebra dimension.
+    Alternates monomial slicing with bracket closure against the full algebra.
+    Each v lies in the Q(t)-span of its rational slices, so each round's span
+    contains the previous round's: a round that leaves the dimension unchanged
+    has reached the fixpoint.
     """
     alg = V.parent
     rows = V.basis
-    for _ in range(alg.dim + 1):
-        sliced = []
-        for v in rows:
-            sliced.extend([list(s) for s in rational_slices(v)])
-        closed = smallest_ideal_containing(alg, sliced).basis if sliced else []
-        if len(closed) == len(rows) and linalg.spans_equal(closed, rows):
+    while True:
+        closed = _closure(alg, [s for v in rows for s in rational_slices(v)], alg.basis())
+        if len(closed) == len(rows):
             return RationalIdeal(alg, closed)
         rows = closed
-    raise RuntimeError("rational hull did not stabilize")  # pragma: no cover
 
 
 def derived_subalgebra(V: RationalIdeal) -> RationalIdeal:
     """Span of brackets of V with itself, closed to a subalgebra."""
     alg = V.parent
-    rows = linalg.echelon(_bracket_span(alg, V.basis, V.basis))
-    while True:
-        closed = linalg.echelon(rows + _bracket_span(alg, rows, rows))
-        if len(closed) == len(rows):
-            return RationalIdeal(alg, closed)
-        rows = closed
+    return RationalIdeal(alg, _closure(alg, _bracket_span(alg, V.basis, V.basis), None))

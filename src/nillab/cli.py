@@ -53,7 +53,11 @@ def _load_sys(config: dict) -> AffineNilsystem:
     if name.endswith(".json") or os.path.sep in name:
         if not os.path.exists(name):
             raise ConfigError("system file %r not found" % name)
-        return substitute_params(load_system(name), config.get("params"))
+        try:
+            system = load_system(name)
+        except (KeyError, TypeError, IndexError, AttributeError, json.JSONDecodeError) as exc:
+            raise ConfigError("malformed system file %r: %s: %s" % (name, type(exc).__name__, exc))
+        return substitute_params(system, config.get("params"))
     try:
         return catalog_build(name, config.get("params"))
     except KeyError as exc:

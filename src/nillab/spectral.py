@@ -18,7 +18,7 @@ from . import algebra as la
 from . import group as gp
 from . import linalg
 from .algebra import RationalIdeal
-from .structure import AffineNilsystem, NumericSystem
+from .structure import AffineNilsystem, NumericSystem, check_factor_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -443,10 +443,7 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
     the complement is f minus it; both parts are then callables on numeric
     point batches.
     """
-    if N_ideal.dim and (not N_ideal.is_rational or not N_ideal.is_ideal):
-        raise ValueError("factor kernel must be a rational ideal")
-    if not all(N_ideal.contains(sys.A.apply_vector(v)) for v in N_ideal.basis):
-        raise ValueError("factor kernel must be invariant under the automorphism")
+    check_factor_kernel(sys, N_ideal)
     alg = sys.algebra
     dirs = _primitive_ideal_basis(N_ideal)
     # a primitive vector with one nonzero entry is +-1 times a coordinate axis

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -77,6 +79,11 @@ class AffineNilsystem:
                 raise SystemValidationError("generators do not commute modulo the lattice")
 
     # -- the tau-conjugation and exact dynamics -----------------------
+
+    @cached_property
+    def B(self) -> UnipotentAutomorphism:
+        """Ad_{g_tau} o A, the derivative of x -> tau x tau^{-1}; built once."""
+        return gp.adjoint(self.algebra, self.g_tau).compose(self.A)
 
     def conjugation(self, g: list) -> list:
         """tau g tau^{-1} as an element of G0: g_tau * A(g) * g_tau^{-1}."""
@@ -165,21 +172,18 @@ class NumericSystem:
 
 def total_conjugation(sys: AffineNilsystem) -> UnipotentAutomorphism:
     """B = Ad_{g_tau} o A, the derivative of x -> tau x tau^{-1}."""
-    ad = gp.adjoint(sys.algebra, sys.g_tau)
-    return ad.compose(sys.A)
+    return sys.B
+
+
+def _b_minus_identity(sys: AffineNilsystem, rows: list[list]) -> list[list]:
+    """(B - I) v for each v in rows."""
+    return [[a - b for a, b in zip(sys.B.apply_vector(v), v)] for v in rows]
 
 
 def tau_commutator_ideal(sys: AffineNilsystem) -> RationalIdeal:
     """Smallest ideal containing the image of B - I: the Lie algebra of [tau, G]."""
     alg = sys.algebra
-    B = total_conjugation(sys)
-    cols = []
-    for i in range(alg.dim):
-        v = B.apply_vector(alg.basis_vector(i))
-        v[i] = v[i] - 1
-        if not la.vec_is_zero(v):
-            cols.append(v)
-    return la.smallest_ideal_containing(alg, cols)
+    return la.smallest_ideal_containing(alg, _b_minus_identity(sys, alg.basis()))
 
 
 def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:
@@ -234,18 +238,10 @@ def leibman_lcs(sys: AffineNilsystem, k: int) -> RationalIdeal:
         raise ValueError("k must be >= 0")
     alg = sys.algebra
     hH = leibman_identity_component(sys)
-    B = total_conjugation(sys)
     cur = hH
     for _ in range(k):
-        gens = []
-        for v in cur.basis:
-            Bv = B.apply_vector(v)
-            gens.append([a - b for a, b in zip(Bv, v)])
-            for h in hH.basis:
-                gens.append(alg.bracket(v, h))
-        gens = [g for g in gens if not la.vec_is_zero(g)]
-        if not gens:
-            return RationalIdeal(alg, [])
+        brackets = [alg.bracket(v, h) for v in cur.basis for h in hH.basis]
+        gens = _b_minus_identity(sys, cur.basis) + brackets
         cur = la.rational_hull(la.smallest_ideal_containing(alg, gens))
     return cur
 
@@ -287,41 +283,34 @@ class FactorData:
         return out
 
 
+def check_factor_kernel(sys: AffineNilsystem, N: RationalIdeal) -> None:
+    """Raise unless N is a rational ideal invariant under every generator's automorphism."""
+    if not N.is_rational or not N.is_ideal:
+        raise SystemValidationError("kernel must be a rational ideal")
+    for A in [sys.A] + ([sys.second[0]] if sys.second is not None else []):
+        if not _automorphism_invariant(A, N):
+            raise SystemValidationError("kernel is not invariant under the automorphisms")
+
+
 def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
     """Validated quotient system on G0/N with the induced automorphism and shift."""
     alg = sys.algebra
     if N.parent is not alg:
         raise SystemValidationError("ideal belongs to a different algebra")
-    if N.dim and (not N.is_rational or not N.is_ideal):
-        raise SystemValidationError("kernel must be a rational ideal")
-    if not _automorphism_invariant(sys.A, N):
-        raise SystemValidationError("kernel is not invariant under the automorphism")
-    m = alg.dim
+    check_factor_kernel(sys, N)
     pivots = N.pivot_columns()
-    nonpivot = [j for j in range(m) if j not in pivots]
+    nonpivot = [j for j in range(alg.dim) if j not in pivots]
     mq = len(nonpivot)
-    # projection: reduce a first-kind vector by N's echelon basis, keep nonpivots
-    proj_rows = []
-    reduced_basis = []
-    for j in range(m):
-        reduced_basis.append(linalg.reduce_vector(N.basis, alg.basis_vector(j)))
-    for q, i in enumerate(nonpivot):
-        proj_rows.append([Fraction(reduced_basis[j][i]) for j in range(m)])
-    # quotient structure constants
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(mq):
-        for b in range(a + 1, mq):
-            v = alg.bracket(alg.basis_vector(nonpivot[a]), alg.basis_vector(nonpivot[b]))
-            red = linalg.reduce_vector(N.basis, v)
-            cs = {}
-            for c in range(mq):
-                val = linalg.simplify_scalar(red[nonpivot[c]])
-                if not linalg.is_zero_scalar(val):
-                    cs[c] = Fraction(val)
-            if cs:
-                brackets[(a, b)] = cs
-    qalg = NilLieAlgebra.from_brackets(mq, brackets)
+    # projection: reduce a first-kind vector by N's echelon basis, keep nonpivots;
+    # N is rational with unit pivots, so the reduction is linear and exact
+    basis = alg.basis()
+    reduced_basis = [linalg.reduce_vector(N.basis, e) for e in basis]
+    proj_rows = [[Fraction(r[i]) for r in reduced_basis] for i in nonpivot]
     project_log = gp.PolynomialMap.linear(proj_rows)
+    qalg = NilLieAlgebra.from_brackets(mq, {
+        (a, b): dict(enumerate(project_log(alg.bracket(basis[i], basis[j]))))
+        for (a, i), (b, j) in combinations(enumerate(nonpivot), 2)
+    })
 
     def induced(A: UnipotentAutomorphism, g: list) -> tuple[UnipotentAutomorphism, list]:
         """The map x -> g A(x) of the quotient: A on the surviving basis, g projected."""
@@ -330,11 +319,7 @@ def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
         return qA, gp.first_to_second(qalg, project_log(gp.second_to_first(alg, g)))
 
     qA, qg = induced(sys.A, sys.g_tau)
-    second = None
-    if sys.second is not None:
-        if not _automorphism_invariant(sys.second[0], N):
-            raise SystemValidationError("kernel is not invariant under the second automorphism")
-        second = induced(*sys.second)
+    second = induced(*sys.second) if sys.second is not None else None
     qsys = AffineNilsystem(qalg, qA, qg, context=sys.context, second=second,
                            name=sys.name + "/N" if sys.name else "",
                            default_assignment=sys.default_assignment)

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from nillab import linalg
 from nillab.algebra import (
     AlgebraValidationError,
     NilLieAlgebra,
@@ -15,6 +17,7 @@ from nillab.algebra import (
 from nillab.scalars import SymbolContext
 
 from oracles import H3_UNITS, H4_UNITS, matrix_to_vec, mmul, vec_to_matrix
+from test_group import adapted_algebras, small_fractions
 
 
 def h3():
@@ -92,6 +95,8 @@ def test_lower_central_series():
     assert dims == [6, 3, 1, 0]
     series3 = lower_central_series(full_algebra(h3()))
     assert [s.dim for s in series3] == [3, 1, 0]
+    # an algebra stands for its full algebra, and its series is ideals too
+    assert [s.dim for s in lower_central_series(h4())] == [6, 3, 1, 0]
 
 
 def test_smallest_ideal_containing():
@@ -133,3 +138,38 @@ def test_derived_subalgebra():
     assert d.dim == 3
     for i in (3, 4, 5):
         assert d.contains(alg.basis_vector(i))
+
+
+def _bracket_levels(alg, rows, against, depth):
+    """Echelon span of rows and their brackets with ``against``, ``depth``
+    levels deep (with the span itself when ``against`` is None)."""
+    span_rows = level = linalg.echelon(rows)
+    for _ in range(depth):
+        others = span_rows if against is None else against
+        level = linalg.echelon([alg.bracket(v, e) for v in level for e in others])
+        span_rows = linalg.echelon(span_rows + level)
+    return span_rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.data())
+def test_ideal_closures_on_random_adapted_algebras(data):
+    alg = data.draw(adapted_algebras())
+    vecs = data.draw(hst.lists(
+        hst.lists(small_fractions, min_size=alg.dim, max_size=alg.dim), min_size=1, max_size=2))
+    ideal = smallest_ideal_containing(alg, vecs)
+    assert ideal.basis == _bracket_levels(alg, vecs, alg.basis(), alg.step)
+    assert ideal.is_ideal and ideal.is_rational
+    V = RationalIdeal(alg, vecs)
+    brackets = [alg.bracket(a, b) for a in V.basis for b in V.basis]
+    derived = derived_subalgebra(V)
+    assert derived.basis == _bracket_levels(alg, brackets, None, alg.step)
+    # a symbolic line v0 + t v1: its hull is the ideal of its two rational slices
+    ctx = SymbolContext(("t",))
+    t = ctx.symbol("t")
+    sym = RationalIdeal(alg, [[ctx.constant(a) + t * b for a, b in zip(vecs[0], vecs[-1])]])
+    hull = rational_hull(sym)
+    assert hull.is_rational and hull.is_ideal
+    assert hull.contains_ideal(sym)
+    assert rational_hull(hull).basis == hull.basis
+    assert hull.equals(smallest_ideal_containing(alg, [vecs[0], vecs[-1]]))

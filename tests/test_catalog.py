@@ -81,6 +81,14 @@ def test_heisenberg4_tau_commutator_matrix_entries():
         assert M[0][3] == w * (u * x + y)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_total_conjugation_is_built_once_per_system(name):
+    sys = catalog_build(name)
+    B = st.total_conjugation(sys)
+    assert st.total_conjugation(sys) is B
+    assert B.matrix == gp.adjoint(sys.algebra, sys.g_tau).compose(sys.A).matrix
+
+
 def test_heisenberg4_center_enters_only_through_ideal_closure():
     """im(B - I) is 2-dimensional and misses the center; the smallest ideal
     containing it picks the center up, which is what makes the commutator

@@ -205,6 +205,27 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _system_without_automorphism():
+    from nillab.catalog import catalog_build
+    from nillab.serialize import system_to_dict
+
+    data = system_to_dict(catalog_build("heisenberg3"))
+    del data["automorphism"]
+    return data
+
+
+@pytest.mark.parametrize("content", [_system_without_automorphism(), [1, 2]],
+                         ids=["no_automorphism", "json_list"])
+def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, ["structure", "--system", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_system_file_resolves_params(capsys, tmp_path):
     from nillab.catalog import catalog_build
     from nillab.serialize import save_system

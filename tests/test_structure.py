@@ -12,6 +12,8 @@ from nillab import linalg
 from nillab import structure as st
 from nillab.algebra import NilLieAlgebra
 from nillab.catalog import catalog_build, catalog_entry, catalog_list
+from nillab.group import UnipotentAutomorphism
+from nillab.spectral import Observable, project_to_factor
 
 F = Fraction
 
@@ -141,6 +143,20 @@ def test_quotient_rejects_bad_ideals():
     V = la.span(sys.algebra, [sys.algebra.basis_vector(0)])
     with pytest.raises(st.SystemValidationError):
         st.quotient_system(sys, V)
+
+
+def test_kernel_must_be_invariant_under_every_generator():
+    """On a Z^2-system whose second automorphism moves N, both the quotient
+    and the factor projection refuse N."""
+    alg = NilLieAlgebra(2, 1, {})
+    A1 = UnipotentAutomorphism(alg, [[F(1), F(0)], [F(0), F(1)]])
+    A2 = UnipotentAutomorphism(alg, [[F(1), F(0)], [F(1), F(1)]])
+    sys = st.AffineNilsystem(alg, A1, [F(0), F(1, 3)], second=(A2, [F(0), F(1, 5)]))
+    N = la.span(alg, [alg.basis_vector(0)])
+    with pytest.raises(ValueError):
+        st.quotient_system(sys, N)
+    with pytest.raises(ValueError):
+        project_to_factor(sys, Observable.character(2, (0, 1)), N)
 
 
 def test_identity_quotient_is_identity():
