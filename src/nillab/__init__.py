@@ -58,6 +58,7 @@ from .spectral import (
     joint_autocorrelation,
     project_to_factor,
     pushforward_histogram,
+    seminorm_ladder,
     subtorus_support_test,
     uniformity_seminorm,
     vertical_character_test,

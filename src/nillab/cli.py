@@ -4,7 +4,9 @@ Subcommands: structure (exact subgroup reports), spectrum (autocorrelation
 CSV + spectral report), useminorm (uniformity seminorm CSV), verify (replay
 the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
-config.  NILLAB_THREADS must be a positive integer if set, but it is not yet
+config.  useminorm computes every U^s row and its halved-window estimate from
+one orbit walk, over fixed chunks of sample points, so its memory is bounded
+by depth x chunk size rather than depth x N.  NILLAB_THREADS must be a positive integer if set, but it is not yet
 used: every command runs in one thread.
 
 Exit codes: 0 success, 1 validation error, 2 golden-suite failure.
@@ -165,9 +167,8 @@ def cmd_useminorm(config: dict) -> str:
     levels = [int(h) for h in levels]
     f = _parse_observable(config.get("observable"), system.algebra.dim)
     lines = ["s,estimate,stability_delta"]
-    for s in range(1, len(levels) + 1):
-        est = sp.uniformity_seminorm(system, f, s, tuple(levels[:s]), N, seed)
-        lines.append("%d,%s,%s" % (s, _fmt(est.value), _fmt(est.stability_delta)))
+    for est in sp.seminorm_ladder(system, f, levels, N, seed):
+        lines.append("%d,%s,%s" % (est.s, _fmt(est.value), _fmt(est.stability_delta)))
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import linalg
 from .algebra import NilLieAlgebra, vec_is_zero, zero_vector
@@ -289,6 +288,10 @@ def haar_sample(m: int, count: int, seed: int | None) -> np.ndarray:
     ``seed=None`` gives the unscrambled sequence.  Haar measure on the
     nilmanifold is Lebesgue measure in the second-kind coordinate cube.
     """
+    # imported here: scipy.stats takes most of a second to import, and the
+    # exact-only commands never sample
+    from scipy.stats import qmc
+
     if count < 1:
         raise ValueError("count must be >= 1")
     eng = qmc.Sobol(d=m, scramble=seed is not None, seed=seed)

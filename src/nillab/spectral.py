@@ -37,6 +37,13 @@ CALIBRATION = {
 #: the orbit iteration is no longer guaranteed below the per-step budget.
 MAX_LAG = 1024
 
+#: Sample points per chunk of the seminorm walk.  A chunk's orbit block is
+#: depth x CHUNK complex values (8.5 MB at depth 129) whatever N.  Of 1024 to
+#: 8192, 4096 was fastest at N = 2^14 and 10^5: smaller chunks pay more
+#: per-step Python costs.  Fixed, so every estimate is summed over the same
+#: chunks whatever the levels or the rows computed alongside.
+CHUNK = 4096
+
 
 class LagBudgetError(ValueError):
     """Requested lag exceeds the numeric drift budget of orbit iteration."""
@@ -362,31 +369,28 @@ class SeminormEstimate:
         return self.value
 
 
-def _seminorm_power(G: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex:
-    """||g||_{U^s}^{2^s} from orbit values G[t, i] = g(T^t x_i), finite-H surrogate.
+def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex:
+    """||f||_{U^s}^{2^s} summed over one chunk's points: g[t, i] = f(T^t x_i).
 
-    The averaging window runs over shifts h = 1..H; the h = 0 term of the
-    limit formula contributes nothing as H grows and would dominate the
-    finite-H bias, so it is dropped.
+    Finite-H surrogate: each level averages over shifts h = 1..H; the h = 0
+    term of the limit formula contributes nothing as H grows and would
+    dominate the finite-H bias, so it is dropped.  The s = 1 level is the
+    closed form sum_i (sum_h g[h, i]) conj(g[0, i]) / H.
     """
     if s == 0:
-        return complex(np.mean(G[0]))
+        return complex(g[0].sum())
     H = H_levels[s - 1]
+    if s == 1:
+        return complex(np.dot(g[1 : H + 1].sum(0), np.conj(g[0]))) / H
     depth = 1 + sum(H_levels[: s - 1])
+    base = np.conj(g[:depth])
     acc = 0.0j
     for h in range(1, H + 1):
-        Gh = G[h : h + depth] * np.conj(G[:depth])
-        acc += _seminorm_power(Gh, s - 1, H_levels)
+        acc += _seminorm_power(g[h : h + depth] * base, s - 1, H_levels)
     return acc / H
 
 
-def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
-                        assignment=None) -> SeminormEstimate:
-    """Finite-scale Gowers–Host–Kra seminorm U^s estimate with a stability delta.
-
-    The base case is the plain integral; each level averages the previous
-    seminorm power of T^h f . conj(f) over h = 1..H.
-    """
+def _seminorm_levels(s: int, H_levels) -> tuple[int, ...]:
     if s < 0 or s > 3:
         raise ValueError("s must be in 0..3")
     if isinstance(H_levels, int):
@@ -396,21 +400,59 @@ def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
         raise ValueError("need one H per recursion level")
     if any(h < 1 for h in H_levels):
         raise ValueError("every H must be >= 1, got %r" % (H_levels,))
+    return H_levels
+
+
+def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N: int,
+                   seed, assignment) -> list[SeminormEstimate]:
+    """The U^s estimate on the levels H_levels[:s] for each s in ``orders``, one walk.
+
+    The orbit is walked and contracted one chunk of ``CHUNK`` sample points at
+    a time, so only a depth x CHUNK block of orbit values is held.  A row and
+    its halved-window estimate read the same blocks, whichever rows share them.
+    """
+    windows = [w for s in orders
+               for w in (H_levels[:s], tuple(max(1, h // 2) for h in H_levels[:s]))]
     depth = 1 + sum(H_levels)
     _check_lag(depth)
     num = sys.numeric(assignment)
-    G = np.empty((depth, N), dtype=complex)
-    for t, cur in enumerate(_orbit(num.step, num.sample_points(N, seed), depth - 1)):
-        G[t] = f(cur)
+    pts = num.sample_points(N, seed)
+    sums = [0j] * len(windows)
+    for lo in range(0, N, CHUNK):
+        chunk = [x[lo : lo + CHUNK] for x in pts]
+        g = np.empty((depth, len(chunk[0])), dtype=complex)
+        for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
+            g[t] = f(cur)
+        for q, w in enumerate(windows):
+            sums[q] += _seminorm_power(g, len(w), w)
 
-    def estimate(levels: tuple[int, ...]) -> float:
-        # reads only the rows 0..sum(levels) of G
-        p = _seminorm_power(G, s, levels)
-        return max(p.real, 0.0) ** (1.0 / (2 ** s)) if s else abs(p)
+    def estimate(p: complex, s: int) -> float:
+        return max(p.real, 0.0) ** (1.0 / 2 ** s) if s else abs(p)
 
-    value = estimate(H_levels)
-    half = estimate(tuple(max(1, h // 2) for h in H_levels)) if s else value
-    return SeminormEstimate(value, abs(value - half), s, H_levels, N, seed)
+    est = [estimate(p / N, len(w)) for p, w in zip(sums, windows)]
+    return [SeminormEstimate(value, abs(value - half), s, H_levels[:s], N, seed)
+            for s, value, half in zip(orders, est[::2], est[1::2])]
+
+
+def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
+                        assignment=None) -> SeminormEstimate:
+    """Finite-scale Gowers–Host–Kra seminorm U^s estimate with a stability delta.
+
+    The base case is the plain integral; each level averages the previous
+    seminorm power of T^h f . conj(f) over h = 1..H.
+    """
+    H_levels = _seminorm_levels(s, H_levels)
+    return _seminorm_rows(sys, f, [s], H_levels, N, seed, assignment)[0]
+
+
+def seminorm_ladder(sys: AffineNilsystem, f, H_levels, N: int, seed,
+                    assignment=None) -> list[SeminormEstimate]:
+    """U^s estimates for s = 1..len(H_levels), row s on H_levels[:s], from one orbit walk.
+
+    Row s equals ``uniformity_seminorm(sys, f, s, H_levels[:s], N, seed)``.
+    """
+    H_levels = _seminorm_levels(len(H_levels), H_levels)
+    return _seminorm_rows(sys, f, range(1, len(H_levels) + 1), H_levels, N, seed, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +483,9 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
     midpoint grid of ``samples`` points per direction of N (which annihilates
     exactly the nonzero integer frequencies below the grid resolution), and
     the complement is f minus it; both parts are then callables on numeric
-    point batches.
+    point batches.  The complement reuses the projection's value when it is
+    called on the batch object the projection saw last, so the batch must not
+    be changed in place between the two calls.
     """
     check_factor_kernel(sys, N_ideal)
     alg = sys.algebra
@@ -457,11 +501,16 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
     u = (np.array(list(np.ndindex(*[M] * len(dirs)))) + 0.5) / M
     zs = [gp.first_to_second(alg, w.tolist()) for w in u @ dirs]
 
+    last = [None, None]  # the batch the projection last saw, and its value there
+
     def projection(pts: list) -> np.ndarray:
-        return sum(f(_translate(alg, z, pts)) for z in zs) / len(zs)
+        last[:] = pts, sum(f(_translate(alg, z, pts)) for z in zs) / len(zs)
+        return last[1]
 
     def complement(pts: list) -> np.ndarray:
-        return f(pts) - projection(pts)
+        # a series over [projection, complement] evaluates both on each batch:
+        # reuse the projection's value rather than average the coset again
+        return f(pts) - (last[1] if last[0] is pts else projection(pts))
 
     return projection, complement
 

@@ -85,6 +85,12 @@ class AffineNilsystem:
         """Ad_{g_tau} o A, the derivative of x -> tau x tau^{-1}; built once."""
         return gp.adjoint(self.algebra, self.g_tau).compose(self.A)
 
+    @cached_property
+    def tau_commutator_ideal(self) -> RationalIdeal:
+        """Smallest ideal containing the image of B - I; built once."""
+        alg = self.algebra
+        return la.smallest_ideal_containing(alg, _b_minus_identity(self, alg.basis()))
+
     def conjugation(self, g: list) -> list:
         """tau g tau^{-1} as an element of G0: g_tau * A(g) * g_tau^{-1}."""
         alg = self.algebra
@@ -182,8 +188,7 @@ def _b_minus_identity(sys: AffineNilsystem, rows: list[list]) -> list[list]:
 
 def tau_commutator_ideal(sys: AffineNilsystem) -> RationalIdeal:
     """Smallest ideal containing the image of B - I: the Lie algebra of [tau, G]."""
-    alg = sys.algebra
-    return la.smallest_ideal_containing(alg, _b_minus_identity(sys, alg.basis()))
+    return sys.tau_commutator_ideal
 
 
 def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:

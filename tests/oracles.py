@@ -1,11 +1,15 @@
-"""Independent exact matrix arithmetic used as an oracle by the tests.
+"""Independent reference implementations used as oracles by the tests.
 
-Everything here is deliberately written from scratch against unitriangular
-matrix groups (lists of lists over Fraction/ExtScalar), with no use of the
-library's Lie-algebraic code paths, so that agreement is meaningful.
+The exact matrix arithmetic is deliberately written from scratch against
+unitriangular matrix groups (lists of lists over Fraction/ExtScalar), with no
+use of the library's Lie-algebraic code paths, so that agreement is
+meaningful.  ``seminorm_power`` is the full-batch form of the seminorm
+recursion that the library evaluates chunk by chunk.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from nillab.scalars import ExtScalar
 
@@ -104,3 +108,19 @@ def psi_matrix(units, n, coords):
     for (i, j), t in zip(units, coords):
         out = mmul(out, mat_exp(vec_to_matrix([(i, j)], n, [t])))
     return out
+
+
+def seminorm_power(G, s, H_levels):
+    """||g||_{U^s}^{2^s} from the whole orbit matrix G[t, i] = g(T^t x_i).
+
+    Each level is a plain mean of H full-batch products, with shifts
+    h = 1..H; the base case is the mean of G[0].
+    """
+    if s == 0:
+        return complex(np.mean(G[0]))
+    H = H_levels[s - 1]
+    depth = 1 + sum(H_levels[: s - 1])
+    acc = 0.0j
+    for h in range(1, H + 1):
+        acc += seminorm_power(G[h : h + depth] * np.conj(G[:depth]), s - 1, H_levels)
+    return acc / H

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nillab import algebra as la
 from nillab import linalg
 from nillab import group as gp
 from nillab import structure as st
@@ -87,6 +88,16 @@ def test_total_conjugation_is_built_once_per_system(name):
     B = st.total_conjugation(sys)
     assert st.total_conjugation(sys) is B
     assert B.matrix == gp.adjoint(sys.algebra, sys.g_tau).compose(sys.A).matrix
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_tau_commutator_ideal_is_built_once_per_system(name):
+    sys = catalog_build(name)
+    tau = st.tau_commutator_ideal(sys)
+    assert st.tau_commutator_ideal(sys) is tau
+    alg = sys.algebra
+    image = [[a - b for a, b in zip(sys.B.apply_vector(v), v)] for v in alg.basis()]
+    assert tau.equals(la.smallest_ideal_containing(alg, image))
 
 
 def test_heisenberg4_center_enters_only_through_ideal_closure():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -450,3 +452,11 @@ def test_preserves_lattice_flag():
     M = [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]]
     A = gp.UnipotentAutomorphism(H3, M)
     assert not A.preserves_lattice()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats is imported by the first Sobol sample, not by ``import nillab``."""
+    probe = "import sys, nillab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from nillab import algebra as la
 from nillab import spectral as sp
@@ -19,12 +20,15 @@ from nillab.spectral import (
     joint_autocorrelation,
     project_to_factor,
     pushforward_histogram,
+    seminorm_ladder,
     subtorus_support_test,
     translated_observable,
     uniformity_seminorm,
     vertical_character_test,
     wiener_atom_mass,
 )
+
+import oracles
 
 
 def ones_series(K):
@@ -226,6 +230,47 @@ def test_seminorm_stability_delta_is_halved_level_difference():
         assert est.stability_delta == abs(est.value - half.value)
 
 
+def _orbit_matrix(sys, f, depth, N, seed):
+    """G[t, i] = f(T^t x_i), walked on the whole batch at once."""
+    num = sys.numeric()
+    G = np.empty((depth, N), dtype=complex)
+    for t, cur in enumerate(sp._orbit(num.step, num.sample_points(N, seed), depth - 1)):
+        G[t] = f(cur)
+    return G
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.data())
+def test_chunked_seminorm_matches_full_batch_oracle(data):
+    sys = catalog_build("skew_torus_nonergodic")
+    # e(x) is invariant, so every seminorm power stays of order one
+    f = Observable(2, {(1, 0): 1.0, (0, 1): 0.5, (1, 1): 0.25j})
+    s = data.draw(hst.integers(0, 3), label="s")
+    levels = tuple(data.draw(hst.lists(hst.integers(1, 9), min_size=s, max_size=s),
+                             label="levels"))
+    C = sp.CHUNK
+    N = data.draw(hst.sampled_from([1000, C - 1, C, C + 1, 3 * C + 17]), label="N")
+    seed = data.draw(hst.integers(0, 2 ** 16), label="seed")
+    est = uniformity_seminorm(sys, f, s, levels, N, seed)
+    G = _orbit_matrix(sys, f, 1 + sum(levels), N, seed)
+    p = oracles.seminorm_power(G, s, levels)
+    want = max(p.real, 0.0) ** (1.0 / 2 ** s) if s else abs(p)
+    assert abs(est.value - want) <= 1e-12
+
+
+def test_seminorm_ladder_rows_equal_standalone_estimates():
+    sys = catalog_build("heisenberg3")
+    f = Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0})
+    levels = (7, 5, 3)
+    N = sp.CHUNK + 5  # a full chunk and a short one
+    rows = seminorm_ladder(sys, f, levels, N, seed=3)
+    assert [r.s for r in rows] == [1, 2, 3]
+    for s, row in enumerate(rows, 1):
+        alone = uniformity_seminorm(sys, f, s, levels[:s], N, seed=3)
+        assert (row.value, row.stability_delta, row.H_levels) == (
+            alone.value, alone.stability_delta, alone.H_levels)
+
+
 def test_seminorm_validation():
     sys = catalog_build("rot_torus")
     f = Observable.constant(1)
@@ -235,6 +280,8 @@ def test_seminorm_validation():
         uniformity_seminorm(sys, f, 2, (16,), 2048, seed=0)
     with pytest.raises(LagBudgetError):
         uniformity_seminorm(sys, f, 1, 2000, 2048, seed=0)
+    with pytest.raises(ValueError):
+        seminorm_ladder(sys, f, (4, 4, 4, 4), 2048, seed=0)
 
 
 def test_seminorm_detects_invariant_versus_quasi_eigenfunction():
@@ -308,6 +355,25 @@ def test_projection_onto_noncentral_kernel_by_quadrature():
     pts = sys.numeric().sample_points(64, seed=10)
     assert np.max(np.abs(proj(pts) - e_x(pts))) <= 1e-12
     assert np.max(np.abs(compl(pts) - (f(pts) - e_x(pts)))) <= 1e-12
+
+
+def test_quadrature_complement_reuses_the_projection_of_the_same_batch():
+    sys = catalog_build("heisenberg3")
+    alg = sys.algebra
+    kernel = la.span(alg, [alg.basis_vector(1), alg.basis_vector(2)])
+    f = Observable(3, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 0.5})
+    calls = [0]
+
+    def counted(pts):
+        calls[0] += 1
+        return f(pts)
+
+    M, K = 4, 8
+    proj, compl = project_to_factor(sys, counted, kernel, samples=M)
+    autocorrelation_many(sys, [proj, compl], K, 1024, seed=11)
+    # per batch: M^2 translates for the projection, one call of f for the
+    # complement; the base batch and the K + 1 lags 0..K are batches
+    assert calls[0] == (K + 1) * (M ** 2 + 1) + (M ** 2 + 1)
 
 
 def test_projection_rejects_noninvariant_kernel():
