@@ -21,7 +21,7 @@ tau = st.tau_commutator_ideal(sys)
 print("Smallest ideal containing im(B - I), B = Ad_tau o A:")
 print("  dim %d, basis %s" % (tau.dim, tau.basis))
 
-J = st.rational_closure_J(sys, tau)
+J = st.discrete_factor_subgroup(sys)
 print("Rational closure (slice + ideal-closure fixpoint):")
 print("  dim %d, basis %s" % (J.dim, J.basis))
 
@@ -39,6 +39,6 @@ print("Ergodicity verdict: %r" % verdict)
 print()
 
 print("The discrete-spectrum factor is the quotient by the closure:")
-fac = st.quotient_system(sys, J)
+fac = sys.discrete_factor  # built once with J, its kernel
 print("  factor torus dimension %d, surviving coordinates %s"
       % (fac.quotient.algebra.dim, fac.nonpivot))

@@ -6,8 +6,9 @@ the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
 config.  useminorm computes every U^s row and its halved-window estimate from
 one orbit walk, over fixed chunks of sample points, so its memory is bounded
-by depth x chunk size rather than depth x N.  NILLAB_THREADS must be a positive integer if set, but it is not yet
-used: every command runs in one thread.
+by depth x chunk size rather than depth x N.  NILLAB_THREADS must be a
+positive integer if set, but it is not yet used: every command runs in one
+thread.
 
 Exit codes: 0 success, 1 validation error, 2 golden-suite failure.
 """
@@ -43,9 +44,12 @@ class _Parser(argparse.ArgumentParser):
 def _thread_cap() -> int:
     raw = os.environ.get("NILLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        raise ConfigError("NILLAB_THREADS must be an integer, got %r" % raw)
+        cap = 0
+    if cap < 1:
+        raise ConfigError("NILLAB_THREADS must be a positive integer, got %r" % raw)
+    return cap
 
 
 def _load_sys(config: dict) -> AffineNilsystem:
@@ -126,8 +130,8 @@ def cmd_structure(config: dict) -> str:
     lines += _basis_lines("derived_leibman", derived_subalgebra(hH))
     k = int(config.get("k", 1))
     lines += _basis_lines("leibman_lcs(k=%d)" % k, st.leibman_lcs(system, k))
-    fd = st.quotient_system(system, J)
-    lines.append("discrete_factor: torus dimension %d" % fd.quotient.algebra.dim)
+    lines.append("discrete_factor: torus dimension %d"
+                 % system.discrete_factor.quotient.algebra.dim)
     verdict = st.ergodicity_test(system)
     if verdict.ergodic:
         lines.append("ergodicity: ergodic")

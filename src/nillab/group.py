@@ -385,9 +385,14 @@ def apply_automorphism(alg: NilLieAlgebra, A: UnipotentAutomorphism, g: list) ->
 
 
 def adjoint(alg: NilLieAlgebra, g: list) -> UnipotentAutomorphism:
-    """Matrix of Ad_g = d/dx (g x g^-1) in the adapted basis, computed exactly."""
+    """Matrix of Ad_g = d/dx (g x g^-1) in the adapted basis, computed exactly
+    as exp(ad w) with w = log g: the series sum_k ad_w^k / k!, finite because
+    ad_w^step = 0."""
     w = second_to_first(alg, g)
-    cols = [bch(alg, w, bch(alg, e, vec_neg(w))) for e in alg.basis()]
+    cols = terms = alg.basis()  # terms: ad_w^k e / k! for each basis vector e
+    for k in range(1, alg.step):
+        terms = [[Fraction(1, k) * t for t in alg.bracket(w, v)] for v in terms]
+        cols = [[a + b for a, b in zip(c, v)] for c, v in zip(cols, terms)]
     return UnipotentAutomorphism(alg, [list(row) for row in zip(*cols)])
 
 

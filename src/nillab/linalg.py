@@ -114,19 +114,6 @@ def in_span(rows: list[list], v: list) -> bool:
     return all(is_zero_scalar(x) for x in reduce_vector(rows, v))
 
 
-def span_dim(rows: list[list]) -> int:
-    return len(echelon(rows))
-
-
-def spans_contain(big: list[list], small: list[list]) -> bool:
-    e = echelon(big)
-    return all(in_span(e, v) for v in small)
-
-
-def spans_equal(a: list[list], b: list[list]) -> bool:
-    return spans_contain(a, b) and spans_contain(b, a)
-
-
 def nullspace(rows: list[list]) -> list[list]:
     """Echelon basis of the right nullspace {x : M x = 0} over the fraction field."""
     e = echelon(rows)

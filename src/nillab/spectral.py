@@ -9,7 +9,7 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
@@ -18,7 +18,8 @@ from . import algebra as la
 from . import group as gp
 from . import linalg
 from .algebra import RationalIdeal
-from .structure import AffineNilsystem, NumericSystem, check_factor_kernel
+from .structure import (AffineNilsystem, NumericSystem, check_factor_kernel,
+                        leibman_identity_component)
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,7 +30,6 @@ CALIBRATION = {
     "discrete_ratio": 0.9,
     "continuous_ratio": 0.05,
     "support_tolerance": 1e-2,
-    "invariance_tolerance": 1e-3,
     "character_tolerance": 1e-6,
 }
 
@@ -240,11 +240,10 @@ def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int
     return AutocorrelationSeries(lags, _hermitian(half).ravel(), N, seed, generators=2)
 
 
-def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, int],
-                          tolerance: float | None = None) -> bool:
+def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, int]) -> bool:
     """True when the joint spectrum is carried by {k1 z1 + k2 z2 = 0}.
 
-    Checks |c(n1, n2)| <= tolerance whenever k1 n1 + k2 n2 != 0.
+    Checks |c(n1, n2)| <= CALIBRATION["support_tolerance"] whenever k1 n1 + k2 n2 != 0.
     """
     if series.generators != 2:
         raise ValueError("support test needs a two-generator series")
@@ -253,7 +252,7 @@ def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, i
 
     if (k1, k2) == (0, 0) or gcd(abs(k1), abs(k2)) != 1:
         raise ValueError("direction must be a nonzero coprime pair")
-    tol = CALIBRATION["support_tolerance"] if tolerance is None else tolerance
+    tol = CALIBRATION["support_tolerance"]
     n1, n2 = np.ogrid[tuple(slice(-K, K + 1) for K in series.reach)]
     return not np.any(np.abs(series.box[k1 * n1 + k2 * n2 != 0]) > tol)
 
@@ -326,7 +325,6 @@ class SpectralReport:
     sample_count: int
     K: int
     seed: int | None
-    tolerances: dict = field(default_factory=lambda: dict(CALIBRATION))
 
 
 def classify(series: AutocorrelationSeries, grid_size: int = 64) -> SpectralReport:
@@ -517,7 +515,7 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
 
 def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdeal,
                             chi_frequency, N: int = 256, seed=0,
-                            assignment=None, tolerance: float | None = None) -> bool:
+                            assignment=None) -> bool:
     """True when f(z x) = chi(z) f(x) for central z, i.e. f lies in V_chi."""
     alg = sys.algebra
     if central_ideal.dim and not central_ideal.is_rational:
@@ -527,7 +525,7 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
     chi = tuple(int(k) for k in np.atleast_1d(chi_frequency))
     if len(chi) != central_ideal.dim:
         raise ValueError("character frequency has wrong length")
-    tol = CALIBRATION["character_tolerance"] if tolerance is None else tolerance
+    tol = CALIBRATION["character_tolerance"]
     dirs = _primitive_ideal_basis(central_ideal)
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
@@ -551,8 +549,6 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
     projection is the base point y, and the angles are the characters of the
     fiber torus evaluated at the element g^{-1} g_tau A(g).
     """
-    from .structure import leibman_identity_component
-
     alg = sys.algebra
     hH = leibman_identity_component(sys)
     if not _commutes(alg, hH.basis, hH.basis):

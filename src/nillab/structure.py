@@ -91,6 +91,28 @@ class AffineNilsystem:
         alg = self.algebra
         return la.smallest_ideal_containing(alg, _b_minus_identity(self, alg.basis()))
 
+    @cached_property
+    def discrete_factor(self) -> "FactorData":
+        """Quotient by J, the rational closure of the tau-commutator ideal: the
+        discrete-spectrum factor; built once."""
+        return quotient_system(self, la.rational_hull(self.tau_commutator_ideal))
+
+    @cached_property
+    def leibman_component(self) -> RationalIdeal:
+        """Lie algebra of the identity component of the Leibman group; built once.
+
+        Stage 1 is the discrete factor's kernel J; on that factor the induced
+        map is a translation, and stage 2 adds the smallest rational subspace
+        carrying the irrational part of that translation.
+        """
+        fd = self.discrete_factor
+        wbar = gp.second_to_first(fd.quotient.algebra, fd.quotient.g_tau)
+        lifts = [fd.lift_vector(s) for s in _nonconstant_slices(wbar)]
+        hH = la.rational_hull(RationalIdeal(self.algebra, fd.kernel.basis + lifts))
+        if not _automorphism_invariant(self.A, hH):
+            raise SystemValidationError("Leibman component is not automorphism-invariant")
+        return hH
+
     def conjugation(self, g: list) -> list:
         """tau g tau^{-1} as an element of G0: g_tau * A(g) * g_tau^{-1}."""
         alg = self.algebra
@@ -198,7 +220,7 @@ def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:
 
 def discrete_factor_subgroup(sys: AffineNilsystem) -> RationalIdeal:
     """Kernel of the discrete-spectrum factor: the rational closure of [tau, G]."""
-    return rational_closure_J(sys, tau_commutator_ideal(sys))
+    return sys.discrete_factor.kernel
 
 
 def _automorphism_invariant(A: UnipotentAutomorphism, V: RationalIdeal) -> bool:
@@ -206,23 +228,8 @@ def _automorphism_invariant(A: UnipotentAutomorphism, V: RationalIdeal) -> bool:
 
 
 def leibman_identity_component(sys: AffineNilsystem) -> RationalIdeal:
-    """Lie algebra of the identity component of the Leibman group.
-
-    Stage 1 takes the rational closure of the tau-commutator ideal; in the
-    quotient the induced map is a translation, and stage 2 adds the smallest
-    rational subspace carrying the irrational part of that translation.
-    """
-    alg = sys.algebra
-    h0 = discrete_factor_subgroup(sys)
-    if h0.dim == alg.dim:
-        return h0
-    fd = quotient_system(sys, h0)
-    wbar = gp.second_to_first(fd.quotient.algebra, fd.quotient.g_tau)
-    lifts = [fd.lift_vector(s) for s in _nonconstant_slices(wbar)]
-    hH = la.rational_hull(RationalIdeal(alg, h0.basis + lifts))
-    if not _automorphism_invariant(sys.A, hH):
-        raise SystemValidationError("Leibman component is not automorphism-invariant")
-    return hH
+    """Lie algebra of the identity component of the Leibman group."""
+    return sys.leibman_component
 
 
 def _nonconstant_slices(v: list) -> list[list[Fraction]]:
@@ -356,8 +363,6 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
     frequency vector pairing rationally with the rotation coordinates.
     """
     alg = sys.algebra
-    if alg.dim == 0:
-        return ErgodicityVerdict(True, None)
     derived = la.derived_subalgebra(la.full_algebra(alg))
     tau_ideal = tau_commutator_ideal(sys)
     N = la.rational_hull(RationalIdeal(alg, derived.basis + tau_ideal.basis))

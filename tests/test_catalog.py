@@ -100,6 +100,17 @@ def test_tau_commutator_ideal_is_built_once_per_system(name):
     assert tau.equals(la.smallest_ideal_containing(alg, image))
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_discrete_factor_and_leibman_component_are_built_once_per_system(name):
+    sys = catalog_build(name)
+    J = st.discrete_factor_subgroup(sys)
+    assert st.discrete_factor_subgroup(sys) is J is sys.discrete_factor.kernel
+    assert J.equals(la.rational_hull(st.tau_commutator_ideal(sys)))
+    hH = st.leibman_identity_component(sys)
+    assert st.leibman_identity_component(sys) is hH
+    assert hH.contains_ideal(J)
+
+
 def test_heisenberg4_center_enters_only_through_ideal_closure():
     """im(B - I) is 2-dimensional and misses the center; the smallest ideal
     containing it picks the center up, which is what makes the commutator

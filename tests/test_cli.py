@@ -205,6 +205,44 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "two"])
+def test_nonpositive_thread_cap_exits_1_with_error_line(capsys, monkeypatch, threads):
+    monkeypatch.setenv("NILLAB_THREADS", threads)
+    code, out, err = run(capsys, ["catalog"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: NILLAB_THREADS must be a positive integer")
+    assert err.count("\n") == 1
+
+
+def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch):
+    """One report builds two quotients (the discrete factor and the ergodicity
+    torus) and takes four rational hulls (J, the Leibman component, its lcs
+    step and the ergodicity kernel); once the tables are warm, no BCH runs."""
+    from nillab import algebra as la
+    from nillab import group as gp
+    from nillab import structure as st
+
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((st, "quotient_system"), (la, "rational_hull"), (gp, "bch")):
+        counted(module, name)
+    argv = ["structure", "--system", "heisenberg4"]
+    assert run(capsys, argv)[0] == 0
+    calls.clear()
+    assert run(capsys, argv)[0] == 0
+    assert calls == {"quotient_system": 2, "rational_hull": 4}
+
+
 def _system_without_automorphism():
     from nillab.catalog import catalog_build
     from nillab.serialize import system_to_dict

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as hst
 
 from nillab import algebra as la
 from nillab import group as gp
+from nillab import linalg
 from nillab.algebra import NilLieAlgebra
+from nillab.catalog import catalog_build, catalog_list
 
 import oracles
 from oracles import (
@@ -430,6 +432,33 @@ def test_adjoint_matches_matrix_conjugation(alg, units, n):
         X = vec_to_matrix(units, n, x)
         expect = matrix_to_vec(units, mmul(mmul(mg, X), munipotent_inverse(mg)))
         assert Ad.apply_vector(x) == expect
+
+
+def _conjugation_by_bch(alg, g):
+    """Columns of Ad_g by the BCH definition log(g exp(e) g^-1), the oracle
+    for the exp(ad w) series."""
+    w = gp.second_to_first(alg, g)
+    return [gp.bch(alg, w, gp.bch(alg, e, gp.vec_neg(w))) for e in alg.basis()]
+
+
+def _adjoint_columns(alg, g):
+    return [list(col) for col in zip(*gp.adjoint(alg, g).matrix)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.data())
+def test_adjoint_series_matches_bch_on_random_adapted_algebras(data):
+    alg = data.draw(adapted_algebras())
+    g = data.draw(hst.lists(small_fractions, min_size=alg.dim, max_size=alg.dim))
+    assert _adjoint_columns(alg, g) == _conjugation_by_bch(alg, g)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog_list()])
+def test_adjoint_series_matches_bch_at_symbolic_catalog_translations(name):
+    sys = catalog_build(name)
+    expect = [[linalg.simplify_scalar(t) for t in col]
+              for col in _conjugation_by_bch(sys.algebra, sys.g_tau)]
+    assert _adjoint_columns(sys.algebra, sys.g_tau) == expect
 
 
 def test_apply_automorphism_is_group_homomorphism():

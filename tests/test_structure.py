@@ -168,6 +168,20 @@ def test_identity_quotient_is_identity():
     assert fac.project_point(x) == x
 
 
+def test_full_quotient_is_a_point():
+    """The quotient by the whole algebra is 0-dimensional, and a 0-dimensional
+    system runs the Leibman derivation through it like any other."""
+    sys = build("heisenberg3")
+    fac = st.quotient_system(sys, la.full_algebra(sys.algebra))
+    assert fac.quotient.algebra.dim == 0 and fac.nonpivot == []
+    point = NilLieAlgebra.from_brackets(0, {})
+    sys0 = st.AffineNilsystem(point, UnipotentAutomorphism(point, []), [])
+    assert st.discrete_factor_subgroup(sys0).dim == 0
+    assert st.leibman_identity_component(sys0).dim == 0
+    assert st.leibman_lcs(sys0, 1).dim == 0
+    assert st.ergodicity_test(sys0).ergodic
+
+
 # ---------------------------------------------------------------------------
 # Numeric cross-validation of the Leibman component
 # ---------------------------------------------------------------------------
