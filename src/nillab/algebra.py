@@ -123,10 +123,12 @@ class NilLieAlgebra:
 class RationalIdeal:
     """Subspace of a nilpotent Lie algebra, held by its echelon basis.
 
-    The basis is kept in deterministic reduced echelon form.  Despite the
-    name, instances may represent plain subspaces: ``is_ideal`` (closed under
-    bracketing with the whole algebra) and ``is_rational`` (spanned by
-    rational vectors) are computed on first read.
+    The basis is :func:`~nillab.linalg.echelon` of the given vectors: over Q
+    the reduced echelon form, over Q(t) fixed by the vectors' order but not
+    canonical, so compare ideals with :meth:`equals`, never ``==`` on bases.
+    Despite the name, instances may represent plain subspaces: ``is_ideal``
+    (closed under bracketing with the whole algebra) and ``is_rational``
+    (spanned by rational vectors) are computed on first read.
     """
 
     def __init__(self, parent: NilLieAlgebra, vectors: list[list]):
@@ -135,10 +137,7 @@ class RationalIdeal:
 
     @cached_property
     def is_rational(self) -> bool:
-        return all(
-            all(not isinstance(x, ExtScalar) or x.is_rational() for x in row)
-            for row in self.basis
-        )
+        return not any(isinstance(x, ExtScalar) for row in self.basis for x in row)
 
     @cached_property
     def is_ideal(self) -> bool:

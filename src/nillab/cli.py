@@ -150,7 +150,7 @@ def cmd_spectrum(config: dict) -> str:
     N = int(config.get("samples", 10 ** 5))
     f = _parse_observable(config.get("observable"), system.algebra.dim)
     series = sp.autocorrelation(system, f, lags, N, seed)
-    report = sp.classify(series, grid_size=int(config.get("grid", 64)))
+    report = sp.classify(series)
     lines = ["lag,re_c,im_c"]
     for lag, v in zip(series.lags, series.values):
         lines.append("%d,%s,%s" % (lag, _fmt(v.real), _fmt(v.imag)))
@@ -261,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lags", type=int, help="largest lag K (default 256)")
     s.add_argument("--samples", type=int, help="QMC sample count N (default 10^5)")
     s.add_argument("--seed", type=int)
-    s.add_argument("--grid", type=int, help="Fejer grid size (default 64)")
 
     s = sub.add_parser("useminorm", help="uniformity seminorm estimates")
     common(s)
@@ -274,8 +273,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_ in (("verify", "replay the built-in golden suite"),
                         ("catalog", "list built-in systems")):
         sub.add_parser(name, help=help_).add_argument("--out", help="output file (default stdout)")
+    # a config key must name a flag of some command, not necessarily this
+    # one's, so that one file can serve several commands
+    known = {a.dest for s in sub.choices.values() for a in s._actions} - {"help"}
     for s in sub.choices.values():
-        s.set_defaults(flags=s._actions)  # what a config file's keys are checked against
+        s.set_defaults(flags=s._actions, known_keys=known)
     return p
 
 
@@ -307,6 +309,10 @@ def _config_from_args(args) -> dict:
                 raise ConfigError("malformed config: %s" % exc)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(config) - args.known_keys)
+        if unknown:
+            raise ConfigError("config key %s names no nillab flag"
+                              % ", ".join(repr(k) for k in unknown))
         if not isinstance(config.get("params", {}), dict):
             raise ConfigError("config key 'params' must be an object of name: value pairs")
     for flag in args.flags:

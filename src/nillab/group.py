@@ -170,10 +170,11 @@ def _table(key: tuple, fn, nvars: int) -> PolynomialMap:
     """``fn`` as a polynomial map, derived once per ``key`` by running it
     exactly on coordinate symbols x_0..x_{nvars-1}."""
     if key not in _TABLES:
-        x = list(SymbolContext("x%d" % i for i in range(nvars)).symbols())
+        ctx = SymbolContext("x%d" % i for i in range(nvars))
         _TABLES[key] = PolynomialMap(
             [(c, tuple(i for i, e in enumerate(expo) for _ in range(e)))
-             for expo, c in sorted(p.terms.items())] for p in fn(x))
+             for expo, c in sorted(ExtScalar.lift(p, ctx).terms.items())]
+            for p in fn(list(ctx.symbols())))
     return _TABLES[key]
 
 
@@ -317,7 +318,7 @@ class UnipotentAutomorphism:
         m = alg.dim
         if len(matrix) != m or any(len(r) != m for r in matrix):
             raise AutomorphismError("matrix must be %d x %d" % (m, m))
-        self.matrix = [[linalg.simplify_scalar(x) for x in row] for row in matrix]
+        self.matrix = [list(row) for row in matrix]
         self._map = PolynomialMap.linear(self.matrix)
         self.key = repr(self.matrix)  # with the algebra's key, names the map
         for k in range(m):
@@ -340,9 +341,7 @@ class UnipotentAutomorphism:
 
     @property
     def is_rational(self) -> bool:
-        return all(
-            not isinstance(x, ExtScalar) or x.is_rational() for row in self.matrix for x in row
-        )
+        return not any(isinstance(x, ExtScalar) for row in self.matrix for x in row)
 
     def apply_vector(self, w: list) -> list:
         """Apply to a first-kind coordinate vector."""

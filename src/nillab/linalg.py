@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and over Q extended by formal symbols.
 
-Entries are Fractions or :class:`~nillab.scalars.ExtScalar` polynomials.  Since
+Entries are Fractions or :class:`~nillab.scalars.ExtScalar` polynomials; a
+symbol-free entry is always a Fraction (scalar arithmetic returns one).  Since
 the symbols are algebraically independent, linear algebra over the fraction
 field Q(t_1, ..., t_r) is done division-free: elimination uses
 cross-multiplication, so entries stay polynomial.  Pivoting is leftmost-nonzero
-with a fixed normalization rule, so echelon bases are deterministic.
+with a fixed normalization rule, so an echelon basis is fixed by its input rows
+and their order; over Q(t) it is not a canonical form of the span (see
+:func:`echelon`).
 """
 
 from __future__ import annotations
@@ -20,31 +23,26 @@ def is_zero_scalar(x) -> bool:
     return x == 0
 
 
-def simplify_scalar(x):
-    """Collapse an ExtScalar that happens to be rational into a Fraction."""
-    if isinstance(x, ExtScalar) and x.is_rational():
-        return x.constant_term()
-    return x
-
-
 def _unit_divisor(x):
     """A rational by which a row may be divided to normalize pivot x."""
     if isinstance(x, ExtScalar):
-        if x.is_rational():
-            return x.constant_term()
         lead = min(x.terms)  # lexicographically smallest monomial, fixed rule
         return x.terms[lead]
     return Fraction(x)
 
 
 def echelon(rows: list[list]) -> list[list]:
-    """Deterministic reduced echelon basis of the row span.
+    """Echelon basis of the row span, with every pivot column cleared in the other rows.
 
     Works over the fraction field of the scalars without dividing by
     polynomials: elimination is by cross-multiplication, and rows are finally
-    scaled by a rational so the pivot's leading coefficient is 1.
+    scaled by a rational so the pivot's leading coefficient is 1.  The result
+    is fixed by the input rows in their order; over Q it is the reduced echelon
+    form, over Q(t) rows may differ by polynomial factors between orders
+    (``[[t, 1], [1, t]]`` and its reverse give different rows), so compare
+    spans by membership, not with ``==``.
     """
-    rows = [[simplify_scalar(x) for x in r] for r in rows if not all(is_zero_scalar(x) for x in r)]
+    rows = [r for r in rows if not all(is_zero_scalar(x) for x in r)]
     if not rows:
         return []
     ncols = len(rows[0])
@@ -66,7 +64,7 @@ def echelon(rows: list[list]) -> list[list]:
                 rest.append(r)
                 continue
             c = r[col]
-            newr = [simplify_scalar(p * r[j] - c * piv[j]) for j in range(ncols)]
+            newr = [p * r[j] - c * piv[j] for j in range(ncols)]
             if not all(is_zero_scalar(x) for x in newr):
                 rest.append(newr)
         work = rest
@@ -80,12 +78,12 @@ def echelon(rows: list[list]) -> list[list]:
             c = out[k][p_i]
             if is_zero_scalar(c):
                 continue
-            out[k] = [simplify_scalar(piv_entry * out[k][j] - c * out[i][j]) for j in range(len(out[k]))]
+            out[k] = [piv_entry * out[k][j] - c * out[i][j] for j in range(len(out[k]))]
     normed = []
     for r in out:
         p = next(j for j in range(ncols) if not is_zero_scalar(r[j]))
         d = _unit_divisor(r[p])
-        normed.append([simplify_scalar(x / d) for x in r])
+        normed.append([x / d for x in r])
     return normed
 
 
@@ -99,14 +97,13 @@ def reduce_vector(rows: list[list], v: list) -> list:
     The result is zero iff v lies in the span (over the scalar fraction field).
     The result is a nonzero multiple of the true remainder.
     """
-    v = [simplify_scalar(x) for x in v]
     for r in rows:
         p = next((j for j in range(len(r)) if not is_zero_scalar(r[j])), None)
         if p is None or is_zero_scalar(v[p]):
             continue
         c = v[p]
         piv = r[p]
-        v = [simplify_scalar(piv * v[j] - c * r[j]) for j in range(len(v))]
+        v = [piv * v[j] - c * r[j] for j in range(len(v))]
     return v
 
 
@@ -127,26 +124,17 @@ def nullspace(rows: list[list]) -> list[list]:
     for f in free:
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
-        # back-solve pivot coordinates; pivot entries may be polynomial, so
-        # solve by cross-multiplication and record the result as a fraction
-        # only when it is rational.
+        # back-solve pivot coordinates; only rational pivots can be divided by
         for i in range(len(e) - 1, -1, -1):
             p = pivs[i]
+            if isinstance(e[i][p], ExtScalar):
+                raise ValueError("nullspace over polynomial pivots is not supported")
             s = 0
             for j in range(p + 1, ncols):
                 s = s + e[i][j] * x[j]
-            val = simplify_scalar((0 - s) / e[i][p]) if _is_rational_entry(e[i][p]) else None
-            if val is None:
-                raise ValueError("nullspace over polynomial pivots is not supported")
-            x[p] = val
-        basis.append([simplify_scalar(t) for t in x])
+            x[p] = (0 - s) / e[i][p]
+        basis.append(x)
     return echelon(basis)
-
-
-def _is_rational_entry(x) -> bool:
-    if isinstance(x, ExtScalar):
-        return x.is_rational()
-    return True
 
 
 def primitive_integer_vector(v: list[Fraction]) -> list[int]:

@@ -5,6 +5,10 @@ algebraically independent over Q.  An :class:`ExtScalar` is a polynomial in
 those symbols with Fraction coefficients; equality is coefficient-wise, so
 rationality questions reduce to linear algebra on coefficient vectors
 (see :func:`rational_slices`).
+
+Every operation returns a Fraction when no monomial of its result carries a
+symbol (see :func:`_value`), so symbol-free values are Fractions throughout;
+:meth:`ExtScalar.lift` is the one way to view a Fraction as an ExtScalar.
 """
 
 from __future__ import annotations
@@ -66,11 +70,9 @@ class SymbolContext:
     def zero_expo(self) -> tuple[int, ...]:
         return (0,) * len(self.names)
 
-    def constant(self, q) -> "ExtScalar":
-        q = Fraction(q)
-        if q == 0:
-            return ExtScalar(self, {})
-        return ExtScalar(self, {self.zero_expo(): q})
+    def constant(self, q) -> Fraction:
+        """A rational constant: symbol-free, so a Fraction in every context."""
+        return Fraction(q)
 
 
 # Context used when a plain Fraction is lifted and no richer context is around.
@@ -103,16 +105,15 @@ class ExtScalar:
 
     @staticmethod
     def lift(x, context: SymbolContext | None = None) -> "ExtScalar":
+        """``x`` as an ExtScalar over ``context``, rational values included."""
         if isinstance(x, ExtScalar):
             if context is not None and context != x.context:
                 if x.context.nsymbols == 0:
-                    return ExtScalar(
-                        context, {context.zero_expo(): c for c in x.terms.values()}
-                    ) if x.terms else ExtScalar(context, {})
+                    return ExtScalar(context, {context.zero_expo(): c for c in x.terms.values()})
                 raise ContextMismatchError("cannot relift %r into %r" % (x, context))
             return x
         ctx = context if context is not None else EMPTY_CONTEXT
-        return ctx.constant(Fraction(x))
+        return ExtScalar(ctx, {ctx.zero_expo(): Fraction(x)})
 
     # -- queries ------------------------------------------------------
 
@@ -147,12 +148,12 @@ class ExtScalar:
         terms = dict(a.terms)
         for e, c in b.terms.items():
             terms[e] = terms.get(e, Fraction(0)) + c
-        return ExtScalar(a.context, terms)
+        return _value(a.context, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtScalar(self.context, {e: -c for e, c in self.terms.items()})
+        return _value(self.context, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._coerce(other)
@@ -172,7 +173,7 @@ class ExtScalar:
             for e2, c2 in b.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return ExtScalar(a.context, terms)
+        return _value(a.context, terms)
 
     __rmul__ = __mul__
 
@@ -185,26 +186,22 @@ class ExtScalar:
         q = Fraction(other)
         if q == 0:
             raise ZeroDivisionError("division by zero")
-        return self * Fraction(1, 1) * Fraction(q.denominator, q.numerator)
+        return self * Fraction(q.denominator, q.numerator)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = ExtScalar.lift(1, self.context)
+        out = Fraction(1)
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExtScalar.lift(other, self.context)
-        if not isinstance(other, ExtScalar):
-            return NotImplemented
         try:
             a, b = self._coerce(other)
         except ContextMismatchError:
             return False
-        return a.terms == b.terms
+        return NotImplemented if b is None else a.terms == b.terms
 
     def __hash__(self):
         # a rational scalar equals the Fraction of its value, so it hashes alike
@@ -263,7 +260,16 @@ class ExtScalar:
             if len(expo) != context.nsymbols:
                 raise ValueError("monomial arity %d != %d symbols" % (len(expo), context.nsymbols))
             terms[expo] = terms.get(expo, Fraction(0)) + parse_rat(r["coeff"])
-        return ExtScalar(context, terms)
+        return _value(context, terms)
+
+
+def _value(context: SymbolContext, terms: Mapping[tuple, Fraction]):
+    """The scalar with these terms: a Fraction when no monomial carries a
+    symbol, an ExtScalar otherwise."""
+    x = ExtScalar(context, terms)
+    if any(any(expo) for expo in x.terms):
+        return x
+    return next(iter(x.terms.values()), Fraction(0))
 
 
 def scalar_context(v) -> SymbolContext:
@@ -308,13 +314,12 @@ def floor_scalar(x) -> int:
 def substitute_rational(x, assignment: Mapping[str, Fraction]):
     """Exact substitution of rational values for a subset of the symbols.
 
-    Returns a Fraction when no symbols remain, otherwise an ExtScalar over
-    the surviving symbols.
+    Returns a Fraction when no monomial keeps a symbol, otherwise an
+    ExtScalar over the surviving symbols.
     """
     if not isinstance(x, ExtScalar):
         return Fraction(x)
     ctx = x.context
-    keep = tuple(n for n in ctx.names if n not in assignment)
     terms: dict = {}
     for expo, c in x.terms.items():
         coeff = c
@@ -326,7 +331,4 @@ def substitute_rational(x, assignment: Mapping[str, Fraction]):
                 new_expo.append(e)
         key = tuple(new_expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    terms = {k: v for k, v in terms.items() if v != 0}
-    if not keep:
-        return terms.get((), Fraction(0))
-    return ExtScalar(SymbolContext(keep), terms)
+    return _value(SymbolContext(n for n in ctx.names if n not in assignment), terms)

@@ -327,7 +327,7 @@ class SpectralReport:
     seed: int | None
 
 
-def classify(series: AutocorrelationSeries, grid_size: int = 64) -> SpectralReport:
+def classify(series: AutocorrelationSeries) -> SpectralReport:
     am = wiener_atom_mass(series)
     c0 = series.c0()
     if c0 <= 0:
@@ -340,7 +340,7 @@ def classify(series: AutocorrelationSeries, grid_size: int = 64) -> SpectralRepo
         verdict = "mixed"
     return SpectralReport(
         atom_mass=am.value,
-        fejer_grid=fejer_density(series, grid_size),
+        fejer_grid=fejer_density(series, 64),
         verdict=verdict,
         c0=c0,
         sample_count=series.sample_count,
@@ -585,7 +585,6 @@ class PushforwardHistogram:
     counts: np.ndarray  # bin masses summing to 1
     bins: int
     max_atom: float
-    max_atom_coarse: float
     sample_count: int
     seed: int | None
 
@@ -614,12 +613,10 @@ def pushforward_histogram(p: dict, bins: int, N: int, seed) -> PushforwardHistog
     vals = np.mod(vals, 1.0)
     counts, _ = np.histogram(vals, bins=bins, range=(0.0, 1.0))
     masses = counts / N
-    coarse_counts, _ = np.histogram(vals, bins=max(2, bins // 2), range=(0.0, 1.0))
     return PushforwardHistogram(
         counts=masses,
         bins=bins,
         max_atom=float(masses.max()),
-        max_atom_coarse=float(coarse_counts.max() / N),
         sample_count=N,
         seed=seed,
     )

@@ -74,7 +74,6 @@ class AffineNilsystem:
         s21 = gp.multiply(alg, g2, gp.apply_automorphism(alg, A2, g1))
         defect = gp.multiply(alg, gp.inverse(alg, s21), s12)
         for t in defect:
-            t = linalg.simplify_scalar(t)
             if isinstance(t, ExtScalar) or Fraction(t).denominator != 1:
                 raise SystemValidationError("generators do not commute modulo the lattice")
 
@@ -390,8 +389,7 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
     # genuinely T-invariant, not merely of finite order
     pairing = Fraction(0)
     for kv, t in zip(kq, bbar):
-        c = linalg.simplify_scalar(t)
-        const = c.constant_term() if isinstance(c, ExtScalar) else Fraction(c)
+        const = t.constant_term() if isinstance(t, ExtScalar) else Fraction(t)
         pairing += kv * const
     scale = pairing.denominator
     return ErgodicityVerdict(False, [scale * v for v in kfull])

@@ -114,7 +114,7 @@ def test_config_file_values_are_used(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "system": "rot_torus", "observable": ["1:1"], "samples": 2000, "lags": 40,
-        "seed": 7, "grid": 16,
+        "seed": 7,
     }))
     code, out, _ = run(capsys, ["spectrum", "--config", str(cfg)])
     assert code == 0
@@ -125,6 +125,19 @@ def test_config_file_values_are_used(capsys, tmp_path):
     assert code == 0 and "leibman_lcs(k=2)" in out
     code, out, _ = run(capsys, ["structure", "--config", str(cfg), "--k", "0"])
     assert code == 0 and "leibman_lcs(k=0)" in out
+
+
+def test_config_key_naming_no_flag_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    config = {"system": "rot_torus", "observable": ["1:1"], "seed": 7, "samples": 2000}
+    cfg.write_text(json.dumps(dict(config, lag=40)))
+    code, out, err = run(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'lag'" in err and err.count("\n") == 1
+    # a flag of another command is accepted, so one file serves several commands
+    cfg.write_text(json.dumps(dict(config, lags=40, k=2, levels=[8])))
+    code, out, _ = run(capsys, ["spectrum", "--config", str(cfg)])
+    assert code == 0 and "# N=2000 K=40 seed=7" in out
 
 
 @pytest.mark.parametrize("command,config", [

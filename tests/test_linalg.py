@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from nillab import linalg
-from nillab.scalars import SymbolContext
+from nillab.scalars import ExtScalar, SymbolContext
 
 CTX = SymbolContext(("t",))
 
@@ -85,9 +85,13 @@ def test_symbolic_spans():
     assert len(linalg.echelon([[one, t], [t, t * t]])) == 1
 
 
-def test_simplify_scalar_collapses_rational():
-    c = CTX.constant(Fraction(2, 3))
-    assert linalg.simplify_scalar(c) == Fraction(2, 3)
-    assert isinstance(linalg.simplify_scalar(c), Fraction)
+def test_symbol_free_entries_are_fractions():
     t = CTX.symbol("t")
-    assert linalg.simplify_scalar(t) is t
+    ech = linalg.echelon([[1, t], [2, 2 * t + 3]])  # t cancels from both rows
+    assert ech == [[1, 0], [0, 1]]
+    assert all(type(x) is Fraction for row in ech for x in row)
+    rem = linalg.reduce_vector(linalg.echelon([[1, t]]), [t, t * t])
+    assert rem == [0, 0] and all(type(x) is Fraction for x in rem)
+    ns = linalg.nullspace([[Fraction(1), t]])
+    assert ns == [[t, -1]]
+    assert isinstance(ns[0][0], ExtScalar) and type(ns[0][1]) is Fraction

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from nillab.scalars import (
-    EMPTY_CONTEXT,
     ContextMismatchError,
     ExtScalar,
     SymbolContext,
@@ -40,14 +39,16 @@ def test_symbol_arithmetic():
     y = a * a - b * b
     assert x == y
     assert not x.is_rational()
-    assert (x - y).is_rational()
-    assert (x - y).as_rational() == 0
+    assert isinstance(x - y, Fraction)
+    assert x - y == 0
 
 
 def test_constant_and_rational_detection():
     c = CTX.constant(Fraction(5, 3))
-    assert c.is_rational()
-    assert c.as_rational() == Fraction(5, 3)
+    assert isinstance(c, Fraction) and c == Fraction(5, 3)
+    lifted = ExtScalar.lift(c, CTX)
+    assert lifted.is_rational()
+    assert lifted.as_rational() == Fraction(5, 3)
     a = CTX.symbol("a")
     with pytest.raises(ValueError):
         (a + c).as_rational()
@@ -55,12 +56,12 @@ def test_constant_and_rational_detection():
 
 def test_rational_scalar_hashes_like_its_fraction():
     half = Fraction(1, 2)
-    lifted = [EMPTY_CONTEXT.constant(half), CTX.constant(half)]
+    lifted = [ExtScalar.lift(half), ExtScalar.lift(half, CTX)]
     assert len({*lifted, half}) == 1
     assert {half: "x"}[lifted[0]] == "x"
     assert {lifted[1]: "y"}[half] == "y"
-    assert len({EMPTY_CONTEXT.constant(3), 3}) == 1
-    assert len({CTX.constant(0), Fraction(0)}) == 1
+    assert len({ExtScalar.lift(3), 3}) == 1
+    assert len({ExtScalar.lift(0, CTX), Fraction(0)}) == 1
 
 
 def test_division_by_rational_only():
@@ -94,13 +95,31 @@ def test_ring_axioms(x, y, z):
 @given(scalars(), scalars())
 def test_evaluate_is_homomorphism(x, y):
     asg = {"a": 0.37, "b": -1.21}
-    assert abs((x + y).evaluate(asg) - (x.evaluate(asg) + y.evaluate(asg))) <= 1e-9
-    assert abs((x * y).evaluate(asg) - (x.evaluate(asg) * y.evaluate(asg))) <= 1e-6
+    assert abs(evaluate_scalar(x + y, asg) - (x.evaluate(asg) + y.evaluate(asg))) <= 1e-9
+    assert abs(evaluate_scalar(x * y, asg) - (x.evaluate(asg) * y.evaluate(asg))) <= 1e-6
 
 
 @given(scalars())
 def test_records_round_trip(x):
     assert ExtScalar.from_records(CTX, x.to_records()) == x
+
+
+def _exact_type(x):
+    """Fraction when no monomial of x carries a symbol, ExtScalar otherwise."""
+    symbolic = isinstance(x, ExtScalar) and any(any(expo) for expo in x.terms)
+    return ExtScalar if symbolic else Fraction
+
+
+@given(scalars(), scalars(), rationals.filter(bool))
+def test_symbol_free_results_are_fractions(x, y, q):
+    results = [
+        x + y, x - y, x * y, -x, x - x, x / q, x ** 2, x + q, q - x, q * x,
+        ExtScalar.from_records(CTX, x.to_records()),
+        substitute_rational(x, {"b": q}),
+        substitute_rational(x, {"a": q, "b": q}),
+    ]
+    for r in results:
+        assert type(r) is _exact_type(r)
 
 
 def test_rational_slices_span_input():
@@ -137,6 +156,6 @@ def test_substitute_rational_full_and_partial():
 def test_floor_scalar():
     assert floor_scalar(Fraction(7, 2)) == 3
     assert floor_scalar(-0.5) == -1
-    assert floor_scalar(EMPTY_CONTEXT.constant(Fraction(-1, 2))) == -1
+    assert floor_scalar(ExtScalar.lift(Fraction(-1, 2))) == -1
     with pytest.raises(ValueError):
         floor_scalar(CTX.symbol("a"))
