@@ -350,16 +350,6 @@ class UnipotentAutomorphism:
     def compose(self, other: "UnipotentAutomorphism") -> "UnipotentAutomorphism":
         return UnipotentAutomorphism(self.alg, _matmul(self.matrix, other.matrix))
 
-    def inverse(self) -> "UnipotentAutomorphism":
-        """A^-1 = sum_k (I - A)^k, a finite series since I - A is nilpotent."""
-        eye = identity_automorphism(self.alg).matrix
-        nil = [[e - a for e, a in zip(er, ar)] for er, ar in zip(eye, self.matrix)]
-        out = eye  # Horner form: I + N (I + N (... (I + N)))
-        for _ in range(self.alg.dim - 1):
-            prod = _matmul(nil, out)
-            out = [[e + p for e, p in zip(er, pr)] for er, pr in zip(eye, prod)]
-        return UnipotentAutomorphism(self.alg, out)
-
     def preserves_lattice(self) -> bool:
         """Whether the induced group map sends psi(Z^m) into psi(Z^m)."""
         return self.is_rational and all(

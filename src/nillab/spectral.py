@@ -10,7 +10,7 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -186,10 +186,46 @@ def _orbit(step, pts, reach: int):
 
 
 def _check_lag(lag: int) -> None:
-    if abs(lag) > MAX_LAG:
+    if lag < 0:
+        raise ValueError("lag must be nonnegative, got %d" % lag)
+    if lag > MAX_LAG:
         raise LagBudgetError(
             "lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG)
         )
+
+
+def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed,
+                  assignment) -> list[np.ndarray]:
+    """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, one per observable.
+
+    Haar measure is T2-invariant and T1 T2 = T2 T1, so with y = T2^K2 z,
+    c(n1, n2) = E[conj f(T2^(K2 - n2) z) . f(T1^n1 y)].  The sample z walks
+    2 K2 steps along T2, keeping conj f at each step in one (2 K2 + 1) x N
+    block; y then walks K1 steps along T1, and each step is contracted row by
+    row against the block.  Every orbit walks forward.  Row n1 = 0 is
+    estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
+    n1 > 0, so Hermitian symmetry is exact.  One generator is K2 = 0.
+    """
+    if N < 10 ** 3:
+        raise ValueError("sample count must be at least 10^3")
+    _check_lag(K1)
+    _check_lag(K2)
+    num = sys.numeric(assignment)
+    kept = np.empty((len(fs), 2 * K2 + 1, N), dtype=complex)
+    for j, z in enumerate(_orbit(num.step2, num.sample_points(N, seed), 2 * K2)):
+        for q, f in enumerate(fs):
+            kept[q, j] = np.conj(f(z))
+        if j == K2:
+            y = z
+    half = np.empty((len(fs), K1 + 1, 2 * K2 + 1), dtype=complex)
+    for n1, x in enumerate(_orbit(num.step, y, K1)):
+        for q, f in enumerate(fs):
+            fx = f(x)
+            for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
+                half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
+    for h in half:
+        h[0] = _hermitian(h[0, K2:])
+    return [_hermitian(h).ravel() for h in half]
 
 
 def autocorrelation(sys: AffineNilsystem, f, lag_range: int, N: int, seed,
@@ -201,43 +237,26 @@ def autocorrelation(sys: AffineNilsystem, f, lag_range: int, N: int, seed,
 def autocorrelation_many(sys: AffineNilsystem, fs: list, lag_range: int, N: int,
                          seed, assignment=None) -> list[AutocorrelationSeries]:
     """Autocorrelation series of several observables sharing a single orbit run."""
-    if N < 10 ** 3:
-        raise ValueError("sample count must be at least 10^3")
-    _check_lag(lag_range)
-    num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
-    base = [np.conj(f(pts)) for f in fs]
-    half = np.empty((len(fs), lag_range + 1), dtype=complex)
-    for n, cur in enumerate(_orbit(num.step, pts, lag_range)):
-        for q, f in enumerate(fs):
-            half[q, n] = np.mean(base[q] * f(cur))
+    boxes = _correlations(sys, fs, lag_range, 0, N, seed, assignment)
     lags = list(range(-lag_range, lag_range + 1))
-    return [AutocorrelationSeries(lags, _hermitian(h), N, seed) for h in half]
+    return [AutocorrelationSeries(lags, v, N, seed) for v in boxes]
 
 
 def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int,
                           seed, assignment=None) -> AutocorrelationSeries:
-    """c(n1, n2) for the Z^2-action of two commuting generators, |n_i| <= grid[i]."""
+    """c(n1, n2) ~= int conj(f) . f o T1^n1 T2^n2 dmu for the Z^2-action of two
+    commuting generators, |n_i| <= grid[i].
+
+    Estimated as the mean of conj f(T2^(K2 - n2) z) . f(T1^n1 T2^K2 z) over the
+    sample points z, which walk forward only: 2 K2 steps along T2 and K1
+    along T1 (K_i = grid[i]).
+    """
     if sys.second is None:
         raise ValueError("joint autocorrelation needs a system with two generators")
-    if N < 10 ** 3:
-        raise ValueError("sample count must be at least 10^3")
     K1, K2 = grid
-    _check_lag(K1)
-    _check_lag(K2)
-    num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
-    base = np.conj(f(pts))
-    # rows n1 = 0..K1; row 0 walks n2 >= 0 only and is mirrored like a 1-D series
-    half = np.empty((K1 + 1, 2 * K2 + 1), dtype=complex)
-    for n1, cur in enumerate(_orbit(num.step, pts, K1)):
-        half[n1, K2:] = [np.mean(base * f(x)) for x in _orbit(num.step2, cur, K2)]
-        if n1:
-            bwd = islice(_orbit(num.step2_inverse, cur, K2), 1, None)
-            half[n1, :K2][::-1] = [np.mean(base * f(x)) for x in bwd]
-    half[0] = _hermitian(half[0, K2:])
+    (values,) = _correlations(sys, [f], K1, K2, N, seed, assignment)
     lags = list(product(range(-K1, K1 + 1), range(-K2, K2 + 1)))
-    return AutocorrelationSeries(lags, _hermitian(half).ravel(), N, seed, generators=2)
+    return AutocorrelationSeries(lags, values, N, seed, generators=2)
 
 
 def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, int]) -> bool:

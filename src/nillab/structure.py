@@ -142,25 +142,21 @@ class AffineNilsystem:
 class NumericSystem:
     """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
 
-    Each map x -> g * A(x) is held as an affine pair (A, g), g evaluated at the
-    assignment; its inverse is the pair (A^-1, A^-1(g^-1)), derived exactly.
+    Each generator x -> g * A(x) is held as an affine pair (A, g), g evaluated
+    at the assignment.  Only forward steps exist: the estimators walk every
+    orbit forward.
     """
 
     def __init__(self, sys: AffineNilsystem, assignment: dict[str, float]):
         self.sys = sys
         self.alg = sys.algebra
         self.assignment = dict(assignment)
-        self._forward, self._backward = self._pairs(sys.A, sys.g_tau)
+        self._forward = self._pair(sys.A, sys.g_tau)
         if sys.second is not None:
-            self._forward2, self._backward2 = self._pairs(*sys.second)
+            self._forward2 = self._pair(*sys.second)
 
-    def _pairs(self, A: UnipotentAutomorphism, g: list) -> tuple:
-        A_inv = A.inverse()
-        g_inv = gp.apply_automorphism(self.alg, A_inv, gp.inverse(self.alg, g))
-        return (
-            (A, [evaluate_scalar(t, self.assignment) for t in g]),
-            (A_inv, [evaluate_scalar(t, self.assignment) for t in g_inv]),
-        )
+    def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
+        return A, [evaluate_scalar(t, self.assignment) for t in g]
 
     def _affine(self, pts: list, pair: tuple) -> list:
         A, g = pair
@@ -178,14 +174,8 @@ class NumericSystem:
         """pts is a list of m arrays (or floats); returns T(pts), reduced."""
         return self._step(pts, self._forward)
 
-    def step_inverse(self, pts: list) -> list:
-        return self._step(pts, self._backward)
-
     def step2(self, pts: list) -> list:
         return self._step(pts, self._forward2)
-
-    def step2_inverse(self, pts: list) -> list:
-        return self._step(pts, self._backward2)
 
     def sample_points(self, count: int, seed: int | None) -> list:
         pts = gp.haar_sample(self.alg.dim, count, seed)
@@ -365,17 +355,11 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
     derived = la.derived_subalgebra(la.full_algebra(alg))
     tau_ideal = tau_commutator_ideal(sys)
     N = la.rational_hull(RationalIdeal(alg, derived.basis + tau_ideal.basis))
-    if N.dim == alg.dim:
-        # torus factor is a point; the only invariant functions are constants
-        return ErgodicityVerdict(True, None)
     fd = quotient_system(sys, N)
     qalg = fd.quotient.algebra
     bbar = gp.second_to_first(qalg, fd.quotient.g_tau)
     slices = _nonconstant_slices(bbar)
-    if slices:
-        kernel = linalg.nullspace(slices)
-    else:
-        kernel = [[Fraction(1) if j == i else Fraction(0) for j in range(qalg.dim)] for i in range(qalg.dim)]
+    kernel = linalg.nullspace(slices) if slices else qalg.basis()
     if not kernel:
         return ErgodicityVerdict(True, None)
     kq = linalg.primitive_integer_vector(kernel[0])

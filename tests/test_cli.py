@@ -80,6 +80,17 @@ def test_spectrum_lag_budget(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("lags", ["-1", "-40"])
+def test_spectrum_negative_lag_exits_1(capsys, lags):
+    code, out, err = run(
+        capsys,
+        ["spectrum", "--system", "rot_torus", "--observable", "1:1",
+         "--lags", lags, "--seed", "1", "--samples", "2000"],
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: lag must be nonnegative, got %s" % lags]
+
+
 def test_useminorm_rows_per_level_prefix(capsys):
     code, out, _ = run(
         capsys,

@@ -405,13 +405,6 @@ def test_automorphism_preserves_brackets():
         assert lhs == rhs
 
 
-def test_automorphism_inverse():
-    A = _h3_automorphism()
-    A_inv = A.inverse()
-    assert A_inv.matrix == munipotent_inverse(A.matrix)
-    assert A.compose(A_inv).matrix == gp.identity_automorphism(H3).matrix
-
-
 def test_automorphism_rejects_non_homomorphism():
     # xi_1 -> xi_1 + xi_2 breaks [xi_1, xi_3] = 0 versus [xi_2, xi_3] = -xi_5
     M = [[F(1 if i == j else 0) for j in range(6)] for i in range(6)]

@@ -103,6 +103,19 @@ def test_autocorrelation_many_shares_one_orbit():
     assert np.allclose(sg.values, autocorrelation(sys, g, 16, 1024, seed=3).values)
 
 
+def test_autocorrelation_many_is_the_plain_orbit_mean():
+    """Each value is exactly np.mean(conj f(x) . f(T^n x)) over the sample."""
+    sys = catalog_build("heisenberg3")
+    f = Observable(3, {(0, 0, 1): 1.0, (1, 0, 0): 0.5})
+    (series,) = autocorrelation_many(sys, [f], 16, 1024, seed=4)
+    num = sys.numeric()
+    x = num.sample_points(1024, 4)
+    base = np.conj(f(x))
+    for n in range(17):
+        assert series.value(n) == np.mean(base * f(x))
+        x = num.step(x)
+
+
 def test_autocorrelation_input_validation():
     sys = catalog_build("rot_torus")
     f = Observable.character(1, (1,))
@@ -447,28 +460,58 @@ def test_joint_autocorrelation_constant():
     assert series.generators == 2
 
 
+def _z2_squared():
+    """z2_skew's first generator T1 with T2 = T1^2: a ℤ² system whose second
+    generator is a skew map, not a rotation."""
+    z2 = catalog_build("z2_skew")
+    return st.AffineNilsystem(z2.algebra, z2.A, z2.g_tau, context=z2.context,
+                              second=(z2.A.compose(z2.A), z2.apply_exact(z2.g_tau)),
+                              default_assignment=z2.default_assignment)
+
+
 def test_joint_autocorrelation_matches_direct_orbit_means():
-    sys = catalog_build("z2_skew")
+    """c(n1, n2) is the sample mean of conj f(T2^(K2 - n2) z) . f(T1^n1 T2^K2 z)."""
     f = Observable(2, {(0, 1): 1.0, (1, 2): 0.5})
     K1, K2 = 3, 2
-    series = joint_autocorrelation(sys, f, (K1, K2), 1024, seed=13)
-    assert series.lags[0] == (-K1, -K2) and len(series.values) == (2 * K1 + 1) * (2 * K2 + 1)
-    num = sys.numeric()
-    pts = num.sample_points(1024, 13)
-    base = np.conj(f(pts))
-    for n1 in range(-K1, K1 + 1):
-        for n2 in range(-K2, K2 + 1):
-            if (n1, n2) < (0, 0):  # filled by Hermitian symmetry
-                assert series.value(n1, n2) == np.conj(series.value(-n1, -n2))
-                continue
-            x = pts
-            for _ in range(n1):
-                x = num.step(x)
-            for _ in range(abs(n2)):
-                x = num.step2(x) if n2 > 0 else num.step2_inverse(x)
-            assert abs(series.value(n1, n2) - np.mean(base * f(x))) <= 1e-12
-    with pytest.raises(KeyError):
-        series.value(K1 + 1, 0)
+    for sys in (catalog_build("z2_skew"), _z2_squared()):
+        series = joint_autocorrelation(sys, f, (K1, K2), 1024, seed=13)
+        assert series.lags[0] == (-K1, -K2) and len(series.values) == (2 * K1 + 1) * (2 * K2 + 1)
+        num = sys.numeric()
+        z = num.sample_points(1024, 13)
+        for n1 in range(-K1, K1 + 1):
+            for n2 in range(-K2, K2 + 1):
+                if (n1, n2) < (0, 0):  # filled by Hermitian symmetry
+                    assert series.value(n1, n2) == np.conj(series.value(-n1, -n2))
+                    continue
+                u = x = z
+                for _ in range(K2 - n2):
+                    u = num.step2(u)
+                for _ in range(K2):
+                    x = num.step2(x)
+                for _ in range(n1):
+                    x = num.step(x)
+                assert abs(series.value(n1, n2) - np.mean(np.conj(f(u)) * f(x))) <= 1e-12
+        with pytest.raises(KeyError):
+            series.value(K1 + 1, 0)
+
+
+def test_joint_autocorrelation_walks_each_generator_forward_once(monkeypatch):
+    """One grid (K1, K2) costs K1 steps of T1 and 2 K2 steps of T2."""
+    calls = {"step": 0, "step2": 0}
+    for name in calls:
+        def counted(self, pts, _step=getattr(st.NumericSystem, name), _name=name):
+            calls[_name] += 1
+            return _step(self, pts)
+        monkeypatch.setattr(st.NumericSystem, name, counted)
+    joint_autocorrelation(catalog_build("z2_skew"), Observable.character(2, (0, 1)),
+                          (5, 3), 1024, seed=1)
+    assert calls == {"step": 5, "step2": 6}
+
+
+def test_joint_autocorrelation_rejects_negative_lags():
+    sys = catalog_build("z2_skew")
+    with pytest.raises(ValueError, match="lag must be nonnegative"):
+        joint_autocorrelation(sys, Observable.character(2, (0, 1)), (2, -1), 1024, seed=0)
 
 
 def test_joint_hermitian_symmetry():

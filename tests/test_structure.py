@@ -239,24 +239,21 @@ RATIONAL_PARAMS = {"alpha": "355/113", "beta": "577/408", "y_tau": "265/153", "u
 
 @pytest.mark.parametrize("name", NAMES)
 def test_numeric_steps_track_exact_map(name):
-    """At rational parameters each float step is the exact map read in floats,
-    and each inverse step undoes its forward step."""
+    """At rational parameters each float step is the exact map read in floats."""
     sys = catalog_build(name, {s: RATIONAL_PARAMS[s] for s in catalog_entry(name).symbols})
     alg = sys.algebra
     num = sys.numeric()
-    maps = [(sys.A, sys.g_tau, num.step, num.step_inverse)]
+    maps = [(sys.A, sys.g_tau, num.step)]
     if sys.second is not None:
-        maps.append((*sys.second, num.step2, num.step2_inverse))
+        maps.append((*sys.second, num.step2))
     rng = random.Random(5)
     for _ in range(10):
         x = [F(rng.randint(1, 96), 97) for _ in range(alg.dim)]
         xf = [float(t) for t in x]
-        for A, g, step, step_inverse in maps:
+        for A, g, step in maps:
             exact, _ = gp.reduce_mod_lattice(
                 alg, gp.multiply(alg, g, gp.apply_automorphism(alg, A, x)))
-            y = step(xf)
-            assert y == pytest.approx([float(t) for t in exact], abs=1e-12)
-            assert step_inverse(y) == pytest.approx(xf, abs=1e-12)
+            assert step(xf) == pytest.approx([float(t) for t in exact], abs=1e-12)
 
 
 def test_second_generator_must_commute():
