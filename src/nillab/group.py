@@ -282,23 +282,98 @@ def reduce_mod_lattice(alg: NilLieAlgebra, g: list) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 
+class SobolRangeError(ValueError):
+    pass
+
+
+SOBOL_BITS = 30
+
+#: (primitive polynomial, initial direction numbers) of the first 32 Sobol
+#: dimensions, from the Joe & Kuo (2008) table "new-joe-kuo-6.21201".  The
+#: polynomial's bits are x^deg ... x^0 with both ends set; dimension 1 (degree
+#: 0) is the van der Corput sequence.
+_SOBOL_TABLE = (
+    (1, ()), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+)
+#: bit position of digit k (most significant first) in a direction number
+_DIGIT_SHIFTS = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(m: int) -> np.ndarray:
+    """Unscrambled direction numbers of dimensions 1..m, shape (m, SOBOL_BITS),
+    each in the top bits of a uint32: v_i = v_{i-d} ^ (v_{i-d} >> d) ^
+    sum_{0<k<d} a_k v_{i-k} for a degree-d polynomial with inner bits a_k."""
+    rows = []
+    for poly, vinit in _SOBOL_TABLE[:m]:
+        deg = poly.bit_length() - 1
+        if deg == 0:
+            rows.append([1 << s for s in _DIGIT_SHIFTS.tolist()])
+            continue
+        v = [x << (SOBOL_BITS - 1 - i) for i, x in enumerate(vinit)]
+        for i in range(deg, SOBOL_BITS):
+            x = v[i - deg] ^ (v[i - deg] >> deg)
+            for k in range(1, deg):
+                if poly >> (deg - k) & 1:
+                    x ^= v[i - k]
+            v.append(x)
+        rows.append(v)
+    table = np.array(rows, dtype=np.uint32).reshape(m, SOBOL_BITS)
+    table.flags.writeable = False
+    return table
+
+
 def haar_sample(m: int, count: int, seed: int | None) -> np.ndarray:
-    """Deterministic low-discrepancy points in [0, 1)^m.
+    """Deterministic low-discrepancy points in [0, 1)^m, shape (count, m).
 
-    Base-2 digital (Sobol) sequence; ``seed`` selects the digital scrambling,
-    ``seed=None`` gives the unscrambled sequence.  Haar measure on the
-    nilmanifold is Lebesgue measure in the second-kind coordinate cube.
+    The first ``count`` points of the 30-bit Sobol sequence with the Joe–Kuo
+    (2008) direction numbers.  An integer ``seed`` applies LMS + digital-shift
+    scrambling drawn from ``np.random.default_rng(seed)``; ``seed=None`` gives
+    the unscrambled sequence.  The points are bit-equal to SciPy's
+    ``qmc.Sobol(d=m, scramble=seed is not None, seed=seed)``.  Haar measure on
+    the nilmanifold is Lebesgue measure in the second-kind coordinate cube.
     """
-    # imported here: scipy.stats takes most of a second to import, and the
-    # exact-only commands never sample
-    from scipy.stats import qmc
-
     if count < 1:
         raise ValueError("count must be >= 1")
-    eng = qmc.Sobol(d=m, scramble=seed is not None, seed=seed)
-    n2 = max(1, math.ceil(math.log2(count)))
-    pts = eng.random_base2(n2) if count > 1 else eng.random(1)
-    return np.ascontiguousarray(pts[:count])
+    if count > 1 << SOBOL_BITS:
+        raise SobolRangeError("at most 2^%d Sobol points, got %d" % (SOBOL_BITS, count))
+    if not 0 <= m <= len(_SOBOL_TABLE):
+        raise SobolRangeError(
+            "Sobol dimension must be in 0..%d, got %d" % (len(_SOBOL_TABLE), m))
+    v = _sobol_directions(m)
+    shift = np.zeros(m, dtype=np.uint32)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        # digital shift: m x SOBOL_BITS bits, least significant first
+        shift = rng.integers(2, size=(m, SOBOL_BITS), dtype=np.uint32) @ (
+            np.uint32(1) << _DIGIT_SHIFTS[::-1])
+        # lower-triangular bit matrices, unit diagonal: digit p of each
+        # scrambled direction number is the parity of ltm[p, :p+1] . digits
+        ltm = np.tril(rng.integers(2, size=(m, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+        digits = (v[:, :, None] >> _DIGIT_SHIFTS) & 1
+        scrambled = (digits @ ltm.transpose(0, 2, 1)) & 1
+        v = (scrambled << _DIGIT_SHIFTS).sum(axis=2, dtype=np.uint32)
+    # Gray-code order by doubling: point 2^k + j is point 2^k - 1 - j xor v_k
+    q = np.empty((m, count), dtype=np.uint32)
+    q[:, 0] = shift
+    for k in range((count - 1).bit_length()):
+        lo = 1 << k
+        n = min(lo, count - lo)
+        np.bitwise_xor(q[:, lo - n:lo][:, ::-1], v[:, k:k + 1], out=q[:, lo:lo + n])
+    return np.multiply(q, 2.0 ** -SOBOL_BITS, dtype=np.float64).T
 
 
 # ---------------------------------------------------------------------------
