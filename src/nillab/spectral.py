@@ -10,7 +10,9 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -54,7 +56,13 @@ class ObservableError(ValueError):
 
 
 class Observable:
-    """Trigonometric polynomial f(x) = sum_k a_k e(2 pi i <k, x>) on reduced coordinates."""
+    """Trigonometric polynomial f(x) = sum_k a_k e(<k, x>) on reduced coordinates.
+
+    e(t) = exp(2 pi i t).  Calling f on a batch of points evaluates it with
+    :func:`evaluate_observables`: one exponential e(x_j) per coordinate the
+    terms use, then each character e(<k, x>) as a product of integer powers
+    of those values.
+    """
 
     def __init__(self, dim: int, terms: dict[tuple, complex]):
         self.dim = dim
@@ -63,10 +71,11 @@ class Observable:
             k = tuple(int(v) for v in k)
             if len(k) != dim:
                 raise ObservableError("frequency vector has wrong length")
-            a = complex(a)
+            a = self.terms.get(k, 0.0) + complex(a)
             if a != 0:
-                self.terms[k] = self.terms.get(k, 0.0) + a
-        self.terms = {k: a for k, a in self.terms.items() if a != 0}
+                self.terms[k] = a
+            else:
+                self.terms.pop(k, None)
 
     @classmethod
     def character(cls, dim: int, freqs) -> "Observable":
@@ -77,15 +86,7 @@ class Observable:
         return cls(dim, {(0,) * dim: value})
 
     def __call__(self, pts: list) -> np.ndarray:
-        shape = np.shape(pts[0]) if self.dim else ()
-        out = np.zeros(shape, dtype=complex)
-        for k, a in self.terms.items():
-            phase = 0.0
-            for kj, xj in zip(k, pts):
-                if kj:
-                    phase = phase + kj * np.asarray(xj, dtype=float)
-            out = out + a * np.exp(1j * TWO_PI * phase)
-        return out
+        return evaluate_observables([self], pts)[0]
 
     def __add__(self, other: "Observable") -> "Observable":
         merged = dict(self.terms)
@@ -112,6 +113,49 @@ class Observable:
 
     def __repr__(self):
         return "Observable(%r)" % (self.terms,)
+
+
+def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
+    """f(pts) for every Observable f of ``fs``, one exponential per coordinate.
+
+    e(x_j) = exp(2 pi i x_j) is computed once for each coordinate j that some
+    term uses.  The character of a frequency vector k is the product, in
+    coordinate order, of the powers e(x_j)^|k_j|, each built by repeated
+    multiplication and conjugated when k_j < 0; f = sum_k a_k e(<k, x>) is
+    summed in term order.  A character is built the same way whichever
+    observables share the call, so each f gets exactly its value alone, and a
+    unit character of one coordinate is exactly exp(2 pi i x_j).  Nothing is
+    written in place, but the arrays of a one-term f with a_k = 1 are the
+    character itself, which other entries of the result may share.
+    """
+    powers: dict[int, list] = {}  # j -> [e(x_j), e(x_j)^2, ...]
+    chars: dict[tuple, np.ndarray] = {}
+
+    def power(j: int, m: int) -> np.ndarray:
+        if j not in powers:
+            powers[j] = [np.exp(1j * TWO_PI * np.asarray(pts[j], dtype=float))]
+        ps = powers[j]
+        while len(ps) < m:
+            ps.append(ps[-1] * ps[0])
+        return ps[m - 1]
+
+    def character(k: tuple) -> np.ndarray:
+        if k not in chars:
+            factors = [power(j, kj) if kj > 0 else np.conj(power(j, -kj))
+                       for j, kj in enumerate(k) if kj]
+            chi = factors[0] if factors else np.ones(np.shape(pts[0]) if k else (), dtype=complex)
+            for p in factors[1:]:
+                chi = chi * p
+            chars[k] = chi
+        return chars[k]
+
+    def value(f: Observable) -> np.ndarray:
+        if not f.terms:
+            return np.zeros(np.shape(pts[0]) if f.dim else (), dtype=complex)
+        terms = (character(k) if a == 1 else a * character(k) for k, a in f.terms.items())
+        return reduce(np.add, terms)
+
+    return [value(f) for f in fs]
 
 
 def _translate(alg, z, pts: list) -> list:
@@ -211,16 +255,23 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     _check_lag(K1)
     _check_lag(K2)
     num = sys.numeric(assignment)
+    obs = [f for f in fs if isinstance(f, Observable)]
+
+    def values(pts: list) -> list:
+        # the Observables share one evaluation; callables run one by one in
+        # list order, so a complement still sees its projection's batch last
+        shared = iter(evaluate_observables(obs, pts))
+        return [next(shared) if isinstance(f, Observable) else f(pts) for f in fs]
+
     kept = np.empty((len(fs), 2 * K2 + 1, N), dtype=complex)
     for j, z in enumerate(_orbit(num.step2, num.sample_points(N, seed), 2 * K2)):
-        for q, f in enumerate(fs):
-            kept[q, j] = np.conj(f(z))
+        for q, fz in enumerate(values(z)):
+            kept[q, j] = np.conj(fz)
         if j == K2:
             y = z
     half = np.empty((len(fs), K1 + 1, 2 * K2 + 1), dtype=complex)
     for n1, x in enumerate(_orbit(num.step, y, K1)):
-        for q, f in enumerate(fs):
-            fx = f(x)
+        for q, fx in enumerate(values(x)):
             for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
                 half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
     for h in half:
@@ -267,8 +318,6 @@ def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, i
     if series.generators != 2:
         raise ValueError("support test needs a two-generator series")
     k1, k2 = direction
-    from math import gcd
-
     if (k1, k2) == (0, 0) or gcd(abs(k1), abs(k2)) != 1:
         raise ValueError("direction must be a nonzero coprime pair")
     tol = CALIBRATION["support_tolerance"]
@@ -430,8 +479,8 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     """
     windows = [w for s in orders
                for w in (H_levels[:s], tuple(max(1, h // 2) for h in H_levels[:s]))]
+    _check_lag(sum(H_levels))  # the steps the walk takes
     depth = 1 + sum(H_levels)
-    _check_lag(depth)
     num = sys.numeric(assignment)
     pts = num.sample_points(N, seed)
     sums = [0j] * len(windows)
@@ -579,7 +628,7 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
     dirs = _primitive_ideal_basis(hH)
     if len(dirs):
         Mt = dirs.T
-        coords, res, _, _ = np.linalg.lstsq(Mt, np.array(logw, dtype=float), rcond=None)
+        coords = np.linalg.lstsq(Mt, np.array(logw, dtype=float), rcond=None)[0]
         resid = np.array(logw, dtype=float) - Mt @ coords
         if np.max(np.abs(resid)) > 1e-9:
             raise ValueError("g^{-1} tau g does not lie in the fiber group")

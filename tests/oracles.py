@@ -124,3 +124,20 @@ def seminorm_power(G, s, H_levels):
     for h in range(1, H + 1):
         acc += seminorm_power(G[h : h + depth] * np.conj(G[:depth]), s - 1, H_levels)
     return acc / H
+
+
+def observable_direct(f, pts):
+    """f(pts) for an Observable f, one exponential per term.
+
+    Each term's phase <k, x> is summed coordinate by coordinate and then
+    exponentiated: sum_k a_k exp(2 pi i <k, x>), with no powers or products
+    of characters.
+    """
+    out = np.zeros(np.shape(pts[0]) if f.dim else (), dtype=complex)
+    for k, a in f.terms.items():
+        phase = 0.0
+        for kj, xj in zip(k, pts):
+            if kj:
+                phase = phase + kj * np.asarray(xj, dtype=float)
+        out = out + a * np.exp(1j * (2.0 * np.pi) * phase)
+    return out
