@@ -211,15 +211,21 @@ def _verify_structure(entry, system):
 
 
 def _verify_spectral(entry, system):
-    """(label, passed) for each golden spectral verdict of one catalog system."""
+    """(label, passed) for each golden spectral verdict of one catalog system.
+
+    The one-generator verdicts share one orbit walk, which gives each
+    observable exactly the series it gets alone.
+    """
+    single = [spec for spec in entry.observables if spec["verdict"] != "subtorus"]
+    walked = iter(sp.autocorrelation_many(system, [observable_for(entry, spec) for spec in single],
+                                          _VERIFY_K, _VERIFY_N, _VERIFY_SEED))
     for spec in entry.observables:
-        f = observable_for(entry, spec)
         if spec["verdict"] == "subtorus":
+            f = observable_for(entry, spec)
             series = sp.joint_autocorrelation(system, f, (8, 8), _VERIFY_N, _VERIFY_SEED)
             ok = sp.subtorus_support_test(series, entry.expected["subtorus_direction"])
         else:
-            series = sp.autocorrelation(system, f, _VERIFY_K, _VERIFY_N, _VERIFY_SEED)
-            ok = sp.classify(series).verdict == spec["verdict"]
+            ok = sp.classify(next(walked)).verdict == spec["verdict"]
         yield "obs_%s" % spec["name"], ok
 
 

@@ -10,7 +10,7 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from math import gcd
 
@@ -39,6 +39,15 @@ CALIBRATION = {
 #: the orbit iteration is no longer guaranteed below the per-step budget.
 MAX_LAG = 1024
 
+#: Entries of the phase table of :func:`_exp_2pi_i`, a power of two.  With 4096
+#: the table takes 64 KB and the residual angle |theta| <= pi / 4096 needs
+#: Taylor terms only up to theta^4.
+PHASES = 4096
+
+#: 1.5 * 2^52: for |u| < 2^51, u + _ROUNDER is _ROUNDER + k for the integer k
+#: nearest u, and its bits read as an int64 are congruent to k modulo 2^51.
+_ROUNDER = 1.5 * 2.0 ** 52
+
 #: Sample points per chunk of the seminorm walk.  A chunk's orbit block is
 #: depth x CHUNK complex values (8.5 MB at depth 129) whatever N.  Of 1024 to
 #: 8192, 4096 was fastest at N = 2^14 and 10^5: smaller chunks pay more
@@ -55,13 +64,55 @@ class ObservableError(ValueError):
     pass
 
 
+@cache
+def _phase_table() -> np.ndarray:
+    """e(j / PHASES) for j = 0..PHASES - 1, read-only, built on first use.
+
+    cos and sin are taken only on the first octant (angles <= pi / 4), each
+    within 1 ulp; the rest of the circle follows by exact swaps and sign
+    changes, so e(0), e(1/4), e(1/2) and e(3/4) are exactly 1, i, -1 and -i.
+    """
+    j = np.arange(PHASES // 8 + 1)
+    cos, sin = np.cos(np.pi * j / (PHASES // 2)), np.sin(np.pi * j / (PHASES // 2))
+    quarter = np.empty(PHASES // 4, dtype=complex)  # e(j / PHASES) for angles < pi / 2
+    quarter.real = np.concatenate([cos, sin[-2:0:-1]])
+    quarter.imag = np.concatenate([sin, cos[-2:0:-1]])
+    table = np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+    table.flags.writeable = False
+    return table
+
+
+def _exp_2pi_i(x: np.ndarray) -> np.ndarray:
+    """e(x) = exp(2 pi i x) for a float array, within 1e-15 of the exact value.
+
+    x = m + (k + t) / PHASES with integers m, k and |t| <= 1/2, all exact:
+    r = x - rint(x) and t = u - rint(u) for u = r PHASES are exact in binary
+    floating point for every finite x (x - floor(x) is not, for small
+    negative x).  Then e(x) = e(k / PHASES) e(t / PHASES): a table entry times
+    cos theta + i sin theta at |theta| = 2 pi |t| / PHASES <= 7.7e-4, from
+    Taylor terms up to theta^4 and theta^3, whose truncation is below 3e-18.
+    Non-finite x gives nan + nan i without a warning.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as wanted
+        u = (x - np.rint(x)) * PHASES
+    rounded = u + _ROUNDER
+    theta = (u - (rounded - _ROUNDER)) * (TWO_PI / PHASES)
+    theta2 = theta * theta
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real = 1.0 - theta2 * (0.5 - theta2 * (1.0 / 24.0))
+    out.imag = theta * (1.0 - theta2 * (1.0 / 6.0))
+    out *= _phase_table().take(rounded.view(np.int64) & (PHASES - 1))
+    return out
+
+
 class Observable:
     """Trigonometric polynomial f(x) = sum_k a_k e(<k, x>) on reduced coordinates.
 
     e(t) = exp(2 pi i t).  Calling f on a batch of points evaluates it with
     :func:`evaluate_observables`: one exponential e(x_j) per coordinate the
-    terms use, then each character e(<k, x>) as a product of integer powers
-    of those values.
+    terms use, from the phase-table kernel :func:`_exp_2pi_i` (within 1e-15
+    of the exact value), then each character e(<k, x>) as a product of
+    integer powers of those values.
     """
 
     def __init__(self, dim: int, terms: dict[tuple, complex]):
@@ -119,21 +170,22 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
     """f(pts) for every Observable f of ``fs``, one exponential per coordinate.
 
     e(x_j) = exp(2 pi i x_j) is computed once for each coordinate j that some
-    term uses.  The character of a frequency vector k is the product, in
-    coordinate order, of the powers e(x_j)^|k_j|, each built by repeated
-    multiplication and conjugated when k_j < 0; f = sum_k a_k e(<k, x>) is
-    summed in term order.  A character is built the same way whichever
-    observables share the call, so each f gets exactly its value alone, and a
-    unit character of one coordinate is exactly exp(2 pi i x_j).  Nothing is
-    written in place, but the arrays of a one-term f with a_k = 1 are the
-    character itself, which other entries of the result may share.
+    term uses, by :func:`_exp_2pi_i` (within 1e-15 of the exact value).  The
+    character of a frequency vector k is the product, in coordinate order, of
+    the powers e(x_j)^|k_j|, each built by repeated multiplication and
+    conjugated when k_j < 0; f = sum_k a_k e(<k, x>) is summed in term order.
+    A character is built the same way whichever observables share the call,
+    so each f gets exactly its value alone, and a unit character of one
+    coordinate is exactly ``_exp_2pi_i(x_j)``.  Nothing is written in place,
+    but the arrays of a one-term f with a_k = 1 are the character itself,
+    which other entries of the result may share.
     """
     powers: dict[int, list] = {}  # j -> [e(x_j), e(x_j)^2, ...]
     chars: dict[tuple, np.ndarray] = {}
 
     def power(j: int, m: int) -> np.ndarray:
         if j not in powers:
-            powers[j] = [np.exp(1j * TWO_PI * np.asarray(pts[j], dtype=float))]
+            powers[j] = [_exp_2pi_i(np.asarray(pts[j], dtype=float))]
         ps = powers[j]
         while len(ps) < m:
             ps.append(ps[-1] * ps[0])
@@ -249,34 +301,43 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     row against the block.  Every orbit walks forward.  Row n1 = 0 is
     estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
     n1 > 0, so Hermitian symmetry is exact.  One generator is K2 = 0.
+    Observables with equal terms are evaluated and contracted once, and each
+    of them gets that box; callables are never merged.
     """
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
     _check_lag(K1)
     _check_lag(K2)
     num = sys.numeric(assignment)
-    obs = [f for f in fs if isinstance(f, Observable)]
+    parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
+    for q, f in enumerate(fs):
+        key = (f.dim, tuple(f.terms.items())) if isinstance(f, Observable) else q
+        if key not in slot:
+            slot[key] = len(parts)
+            parts.append(f)
+        where.append(slot[key])
+    obs = [f for f in parts if isinstance(f, Observable)]
 
     def values(pts: list) -> list:
         # the Observables share one evaluation; callables run one by one in
         # list order, so a complement still sees its projection's batch last
         shared = iter(evaluate_observables(obs, pts))
-        return [next(shared) if isinstance(f, Observable) else f(pts) for f in fs]
+        return [next(shared) if isinstance(f, Observable) else f(pts) for f in parts]
 
-    kept = np.empty((len(fs), 2 * K2 + 1, N), dtype=complex)
+    kept = np.empty((len(parts), 2 * K2 + 1, N), dtype=complex)
     for j, z in enumerate(_orbit(num.step2, num.sample_points(N, seed), 2 * K2)):
         for q, fz in enumerate(values(z)):
             kept[q, j] = np.conj(fz)
         if j == K2:
             y = z
-    half = np.empty((len(fs), K1 + 1, 2 * K2 + 1), dtype=complex)
+    half = np.empty((len(parts), K1 + 1, 2 * K2 + 1), dtype=complex)
     for n1, x in enumerate(_orbit(num.step, y, K1)):
         for q, fx in enumerate(values(x)):
             for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
                 half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
     for h in half:
         h[0] = _hermitian(h[0, K2:])
-    return [_hermitian(h).ravel() for h in half]
+    return [_hermitian(half[p]).ravel() for p in where]
 
 
 def autocorrelation(sys: AffineNilsystem, f, lag_range: int, N: int, seed,

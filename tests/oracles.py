@@ -4,9 +4,13 @@ The exact matrix arithmetic is deliberately written from scratch against
 unitriangular matrix groups (lists of lists over Fraction/ExtScalar), with no
 use of the library's Lie-algebraic code paths, so that agreement is
 meaningful.  ``seminorm_power`` is the full-batch form of the seminorm
-recursion that the library evaluates chunk by chunk.
+recursion that the library evaluates chunk by chunk.  ``exp_2pi_i_exact``
+computes e(x) = exp(2 pi i x) in exact and decimal arithmetic, with no float
+exponential.
 """
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -141,3 +145,32 @@ def observable_direct(f, pts):
                 phase = phase + kj * np.asarray(xj, dtype=float)
         out = out + a * np.exp(1j * (2.0 * np.pi) * phase)
     return out
+
+
+#: pi to 50 significant digits.
+PI_DECIMAL = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def exp_2pi_i_exact(x: float) -> complex:
+    """e(x) = exp(2 pi i x) for a float x, each part the float nearest a 40-digit value.
+
+    x is reduced exactly as a Fraction: 4x = q + 4s with q = round(4x) and
+    |s| <= 1/8, so e(x) = i^q e(s).  cos and sin of 2 pi s then come from 30
+    terms of their Taylor series (the rest is below 1e-35) in 40-digit
+    decimal arithmetic.  Non-finite x gives nan + nan i.
+    """
+    if not math.isfinite(x):
+        return complex(math.nan, math.nan)
+    r = 4 * Fraction(x)
+    q = round(r)
+    s = (r - q) / 4
+    with localcontext() as ctx:
+        ctx.prec = 40
+        theta = 2 * PI_DECIMAL * s.numerator / s.denominator
+        parts = [Decimal(0), Decimal(0)]  # cos, sin
+        term = Decimal(1)  # theta^n / n!
+        for n in range(30):
+            parts[n % 2] += term if n % 4 < 2 else -term
+            term = term * theta / (n + 1)
+    c, s = (float(v) for v in parts)
+    return (complex(c, s), complex(-s, c), complex(-c, -s), complex(s, -c))[q % 4]

@@ -1,5 +1,7 @@
 """Spectral estimator tests: exact small cases plus catalog cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -62,16 +64,47 @@ def test_observable_algebra():
     assert np.allclose(c(pts), 3.0)
 
 
+def test_exp_kernel_matches_exact_oracle():
+    """The phase-table e(x) is within 1e-15 of the exactly reduced e(x).
+
+    Over these inputs and 64000 random ones in [-1, 1] and 1 <= |x| <= 2^40
+    the largest deviation was 2.5e-16.  np.exp(2j pi x) deviates by up to
+    7.9e-16 on [-1, 1], and by far more at large |x|, where 2 pi x is rounded
+    before the exponential.
+    """
+    rng = np.random.default_rng(13)
+    j = np.arange(sp.PHASES + 1) / sp.PHASES
+    mag = 2.0 ** rng.uniform(0, 40, 256)
+    huge = 2.0 ** rng.uniform(52, 1023, 64)
+    xs = np.concatenate([
+        np.linspace(-1.0, 1.0, 2049),
+        j, np.nextafter(j, -1.0), np.nextafter(j, 2.0),
+        -rng.random(256), mag, -mag, huge, -huge,
+        [2.0 ** 52 - 0.5, 2.0 ** 52, 5e-324, -5e-324, -1e-300],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp._exp_2pi_i(xs)
+        exact = [oracles.exp_2pi_i_exact(x) for x in xs.tolist()]
+        assert np.max(np.abs(got - exact)) <= 1e-15
+        assert np.all(sp._exp_2pi_i(np.concatenate([huge, -huge])) == 1)
+        quarters = np.array([0.0, -0.0, 0.25, 0.5, 0.75, -0.25, -0.5, -0.75, 1.0, -3.0])
+        assert np.array_equal(sp._exp_2pi_i(quarters), [1, 1, 1j, -1, -1j, -1j, -1, 1j, 1, 1])
+        bad = sp._exp_2pi_i(np.array([np.nan, np.inf, -np.inf]))
+        assert np.all(np.isnan(bad.real) & np.isnan(bad.imag))
+
+
 @settings(max_examples=200, deadline=None)
 @given(hst.data())
 def test_observable_evaluation_matches_per_term_oracle(data):
     """One exponential per coordinate agrees with one exponential per term.
 
-    A unit character of one coordinate is the same expression in both, so it
-    is bit-equal.  Otherwise powers and products round differently from
-    exp(2 pi i <k, x>): over 20000 random observables the deviation was at
-    most 1.8e-14 per unit of sum |a_k|, and 4.0e-14 with every |k_j| = 3 and
-    every |x_j| near 1 in six coordinates; the bound is 1e-13.
+    A unit character of one coordinate is the phase-table kernel applied to
+    that coordinate, bit for bit, and within 1e-15 of the exact e(x_j).
+    Otherwise powers and products round differently from exp(2 pi i <k, x>):
+    over 20000 random observables the deviation was at most 1.4e-14 per unit
+    of sum |a_k|, and 3.6e-14 with every |k_j| = 3 and every |x_j| near 1 in
+    six coordinates; the bound is 1e-13.
     """
     dim = data.draw(hst.integers(0, 6), label="dim")
     freq = hst.tuples(*[hst.integers(-3, 3)] * dim)
@@ -97,9 +130,12 @@ def test_observable_evaluation_matches_per_term_oracle(data):
     bound = 1e-13 * sum(abs(a) for a in f.terms.values())
     assert np.max(np.abs(got - oracles.observable_direct(f, pts)), initial=0.0) <= bound
     units = [Observable.character(dim, np.eye(dim, dtype=int)[j]) for j in range(dim)]
-    for e in units:
-        assert np.asarray(e(pts)).tobytes() == np.asarray(
-            oracles.observable_direct(e, pts)).tobytes()
+    for x, e in zip(pts, units):
+        x = np.asarray(x, dtype=float)
+        value = np.asarray(e(pts))
+        assert value.tobytes() == sp._exp_2pi_i(x).tobytes()
+        exact = [oracles.exp_2pi_i_exact(v) for v in np.ravel(x).tolist()]
+        assert np.max(np.abs(np.ravel(value) - exact)) <= 1e-15
     empty, one = Observable(dim, {}), Observable.constant(dim)
     assert not empty.terms and np.all(empty(pts) == 0)
     assert np.all(one(pts) == 1)
@@ -160,6 +196,30 @@ def test_autocorrelation_many_shares_one_orbit():
         for part, series in zip(parts, many):
             alone = autocorrelation(sys, part, 16, 1024, seed=3)
             assert np.all(series.values == alone.values)
+
+
+def test_autocorrelation_many_contracts_each_distinct_part_once(monkeypatch):
+    """Observables with equal terms are evaluated once per step, and each gets
+    the series it gets without the duplicate; a callable is never merged."""
+    sys = catalog_build("heisenberg3")
+    f = Observable(3, {(0, 0, 1): 1.0, (1, 0, 0): 0.5})
+    g = Observable.character(3, (0, 1, 0))
+    pair = autocorrelation_many(sys, [f, g], 16, 1024, seed=5)
+    evaluated, called = [], []
+    evaluate = sp.evaluate_observables
+    monkeypatch.setattr(sp, "evaluate_observables",
+                        lambda fs, pts: evaluated.append(len(fs)) or evaluate(fs, pts))
+
+    def h(pts):
+        called.append(pts)
+        return np.cos(pts[0]) + 0j
+
+    many = autocorrelation_many(sys, [f, g, Observable(3, f.terms), h, h], 16, 1024, seed=5)
+    for series, want in zip(many, [*pair, pair[0]]):
+        assert series.values.tobytes() == want.values.tobytes()
+    assert many[3].values.tobytes() == many[4].values.tobytes()
+    assert evaluated == [2] * 18  # the kept sample, then the sample and 16 steps along T
+    assert len(called) == 2 * 18
 
 
 def test_autocorrelation_many_is_the_plain_orbit_mean():
