@@ -221,6 +221,12 @@ _SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
      "--samples", "2048", "--seed", "3", "--levels", "0"],
     ["verify", "--system", "nonexistent"],
     [],
+    # a non-finite amplitude, and a seminorm below the autocorrelations' 10^3 samples
+    _SPECTRUM + ["--observable", "1:inf", "--samples", "2048", "--lags", "64"],
+    ["useminorm", "--system", "skew_torus_nonergodic", "--observable", "0,1",
+     "--observable", "1,1:nan", "--samples", "2048", "--seed", "3", "--levels", "4"],
+    ["useminorm", "--system", "skew_torus_nonergodic", "--observable", "0,1:1",
+     "--samples", "1", "--seed", "3", "--levels", "4"],
 ])
 def test_bad_input_exits_1_with_error_line(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -14,6 +14,7 @@ from nillab.spectral import (
     AutocorrelationSeries,
     LagBudgetError,
     Observable,
+    ObservableError,
     autocorrelation,
     autocorrelation_many,
     classify,
@@ -62,6 +63,14 @@ def test_observable_algebra():
     assert np.allclose(f.conj()(pts), np.conj(f(pts)))
     c = Observable.constant(2, 3.0)
     assert np.allclose(c(pts), 3.0)
+
+
+@pytest.mark.parametrize("amp", [np.nan, np.inf, -np.inf, complex(1, np.inf), complex(np.nan, 0)])
+def test_observable_rejects_non_finite_amplitude(amp):
+    with pytest.raises(ObservableError, match="not finite"):
+        Observable(2, {(1, 0): 1.0, (0, 1): amp})
+    with pytest.raises(ObservableError, match="not finite"):
+        Observable.character(2, (1, 0)) * amp
 
 
 def test_exp_kernel_matches_exact_oracle():
@@ -390,6 +399,24 @@ def test_chunked_seminorm_matches_full_batch_oracle(data):
     assert abs(est.value - want) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_seminorm_kernel_matches_oracle_at_s_2_and_3(data):
+    # the kernel sums each unordered s = 2 shift pair once, the oracle every
+    # (h, t); levels up to 24 reach H1 < H2, H1 > H2 and a level of 1
+    s = data.draw(hst.sampled_from([2, 3]), label="s")
+    levels = tuple(data.draw(hst.lists(hst.integers(1, 24), min_size=s, max_size=s),
+                             label="levels"))
+    width = data.draw(hst.integers(1, 40), label="width")
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2 ** 32 - 1), label="seed"))
+    shape = (1 + sum(levels), width)
+    # moduli off 1 and phases within 0.1 turns, so the power is of order one
+    G = rng.uniform(0.5, 1.5, shape) * np.exp(2j * np.pi * rng.uniform(-0.1, 0.1, shape))
+    want = oracles.seminorm_power(G, s, levels)
+    got = sp._seminorm_power(G, s, levels) / width
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_seminorm_ladder_rows_equal_standalone_estimates():
     sys = catalog_build("heisenberg3")
     f = Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0})
@@ -414,6 +441,11 @@ def test_seminorm_validation():
         uniformity_seminorm(sys, f, 1, 2000, 2048, seed=0)
     with pytest.raises(ValueError):
         seminorm_ladder(sys, f, (4, 4, 4, 4), 2048, seed=0)
+    for N in (1, 999):  # the sample floor of the autocorrelations
+        with pytest.raises(ValueError, match="at least 10\\^3"):
+            uniformity_seminorm(sys, f, 1, 4, N, seed=0)
+        with pytest.raises(ValueError, match="at least 10\\^3"):
+            seminorm_ladder(sys, f, (4, 4), N, seed=0)
 
 
 def test_seminorm_lag_cap_counts_the_steps_walked():
