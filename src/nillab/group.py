@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -110,12 +110,6 @@ def _exact_floor(t) -> tuple:
     return k, t - k
 
 
-def _float_floor(t) -> tuple:
-    k = np.floor(t)
-    r = t - k  # rounds up to 1.0 for t = -1e-20
-    return k, r - (r >= 1.0)
-
-
 class PolynomialMap:
     """Polynomial map with exact coefficients, evaluated at exact or float points.
 
@@ -124,11 +118,17 @@ class PolynomialMap:
     exponent.  Evaluation is the one place that picks the arithmetic, floor
     included: a point of ints, Fractions and ExtScalars is evaluated exactly;
     a point with any float or numpy array entry is evaluated in floats,
-    coefficients and exact entries alike.
+    coefficients and exact entries alike, by a plan (:func:`_float_plan`)
+    built on first use for each pattern of array and scalar entries.
+
+    A float point mixes scalars with arrays of one shape, read as float64.
+    No entry is written: every output array, and every floor array of a
+    ``floors_at`` call, is a fresh array.
     """
 
     def __init__(self, polys):
         self.exact = tuple(tuple(poly) for poly in polys)
+        self._plans: dict[tuple, object] = {}
 
     @classmethod
     def linear(cls, matrix: list[list]) -> "PolynomialMap":
@@ -137,30 +137,112 @@ class PolynomialMap:
             for row in matrix
         )
 
-    @cached_property
-    def floats(self) -> tuple:
-        return tuple(tuple((float(c), mono) for c, mono in poly) for poly in self.exact)
-
     def __call__(self, values: list, floors_at: int | None = None):
         """The outputs at ``values``; with ``floors_at = j``, the pair (fractional
         parts, floors), each output's floor written to ``values[j + i]`` before
         output i + 1 is evaluated."""
         if all(isinstance(v, _EXACT_TYPES) for v in values):
-            polys, values, split = self.exact, list(values), _exact_floor
-        else:
-            polys, split = self.floats, _float_floor
-            values = [float(v) if isinstance(v, _EXACT_TYPES) else v for v in values]
+            return self._exact(list(values), floors_at)
+        values = [_float_entry(v) for v in values]
+        key = (tuple(isinstance(v, np.ndarray) for v in values), floors_at)
+        if key not in self._plans:
+            self._plans[key] = _float_plan(self.exact, *key)
+        return self._plans[key](*values)
+
+    def _exact(self, values: list, floors_at: int | None):
         out = []
-        for i, poly in enumerate(polys):
+        for i, poly in enumerate(self.exact):
             acc = 0
             for c, mono in poly:
                 for j in mono:
                     c = c * values[j]
                 acc = acc + c
             if floors_at is not None:
-                values[floors_at + i], acc = split(acc)
+                values[floors_at + i], acc = _exact_floor(acc)
             out.append(acc)
         return out if floors_at is None else (out, values[floors_at:])
+
+
+def _float_entry(v):
+    """A float point's entry: an array as float64, else a scalar."""
+    if isinstance(v, np.ndarray):
+        return v.astype(np.float64, copy=False) if v.ndim else v[()]
+    return float(v) if isinstance(v, _EXACT_TYPES) else v
+
+
+def _float_plan(polys, arrays: tuple, floors_at: int | None):
+    """The float evaluation of ``polys`` at entries x0, x1, ..., those where
+    ``arrays`` is true being arrays, compiled once into a Python function.
+
+    It keeps the arithmetic of the plain loop, in its order: per output,
+    acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term, each product
+    taken left to right.  Scalar factors before a monomial's first array
+    factor are multiplied into the coefficient as scalars; from there on the
+    work is in place.  An output's first array term becomes the output array,
+    to which the running scalar is added (so 0 + -0.0 is 0.0, as in the
+    loop); each later array term is multiplied into one scratch buffer and
+    added in place.  A coefficient of exactly 1.0 or -1.0 that meets an array
+    factor first is not multiplied: the rest of the product is added or
+    subtracted, which is exact.  With ``floors_at``, an array output is split
+    in place into its fractional part and a fresh floor array, the fractional
+    part set to 0.0 where t - floor(t) rounds up to 1.0; a scalar output is
+    split as in the loop.
+    """
+    first_array = "x%d" % arrays.index(True) if any(arrays) else None
+    arrays = list(arrays)
+    lines, outs, scratch = [], [], False
+    for i, poly in enumerate(polys):
+        o = None  # the output array, once its first array term is in
+        lines.append("s = 0")
+        for c, mono in poly:
+            c = float(c)
+            k = next((n for n, j in enumerate(mono) if arrays[j]), len(mono))
+            scalar = "(%s)" % " * ".join([repr(c)] + ["x%d" % j for j in mono[:k]])
+            if k == len(mono):
+                lines.append("s = s + %s" % scalar if o is None
+                             else "np.add(%s, %s, out=%s)" % (o, scalar, o))
+                continue
+            unit = c in (1.0, -1.0) and k == 0
+            factors = ([] if unit else [scalar]) + ["x%d" % j for j in mono[k:]]
+            if len(factors) > 1:
+                # the product into the output (its first array term) or the scratch
+                target = "o%d" % i if o is None else "b"
+                scratch |= o is not None
+                lines.append("%s = np.multiply(%s, %s%s)" % (
+                    target, factors[0], factors[1], "" if o is None else ", out=b"))
+                lines += ["np.multiply(%s, %s, out=%s)" % (target, f, target)
+                          for f in factors[2:]]
+                factors = [target]
+            add = "np.subtract" if unit and c < 0 else "np.add"
+            if o is None:
+                o = "o%d" % i
+                lines.append("%s = %s(s, %s%s)" % (
+                    o, add, factors[0], ", out=%s" % o if factors[0] == o else ""))
+            else:
+                lines.append("%s(%s, %s, out=%s)" % (add, o, factors[0], o))
+        if o is None:
+            lines.append("o%d = s" % i)
+        if floors_at is not None:
+            f = "x%d" % (floors_at + i)
+            if o is None:
+                lines += ["%s = np.floor(o%d)" % (f, i), "o%d = o%d - %s" % (i, i, f),
+                          "o%d = o%d - (o%d >= 1.0)" % (i, i, i)]
+            else:
+                lines += ["%s = np.floor(%s)" % (f, o),
+                          "np.subtract(%s, %s, out=%s)" % (o, f, o),
+                          "%s[%s >= 1.0] = 0.0" % (o, o)]
+            arrays[floors_at + i] = o is not None
+        outs.append("o%d" % i)
+    result = "[%s]" % ", ".join(outs)
+    if floors_at is not None:
+        result += ", [%s]" % ", ".join("x%d" % j for j in range(floors_at, len(arrays)))
+    if scratch:
+        lines.insert(0, "b = np.empty_like(%s)" % first_array)
+    source = "def plan(%s):\n    %s\n    return %s\n" % (
+        ", ".join("x%d" % j for j in range(len(arrays))), "\n    ".join(lines), result)
+    namespace = {"np": np}
+    exec(source, namespace)
+    return namespace["plan"]
 
 
 _TABLES: dict[tuple, PolynomialMap] = {}
@@ -418,6 +500,10 @@ class UnipotentAutomorphism:
     def is_rational(self) -> bool:
         return not any(isinstance(x, ExtScalar) for row in self.matrix for x in row)
 
+    @property
+    def is_identity(self) -> bool:
+        return all(x == int(i == j) for i, row in enumerate(self.matrix) for j, x in enumerate(row))
+
     def apply_vector(self, w: list) -> list:
         """Apply to a first-kind coordinate vector."""
         return self._map(w)
@@ -440,12 +526,16 @@ def _matmul(a: list[list], b: list[list]) -> list[list]:
     ]
 
 
+def _automorphism_table(alg: NilLieAlgebra, A: UnipotentAutomorphism) -> PolynomialMap:
+    return _table(("automorphism", alg.key, A.key),
+                  lambda x: first_to_second(alg, A.apply_vector(second_to_first(alg, x))),
+                  alg.dim)
+
+
 def apply_automorphism(alg: NilLieAlgebra, A: UnipotentAutomorphism, g: list) -> list:
     """first_to_second o A o second_to_first as one table per structure
     constants and rational matrix (the identity table for A = I)."""
-    return _table(("automorphism", alg.key, A.key),
-                  lambda x: first_to_second(alg, A.apply_vector(second_to_first(alg, x))),
-                  alg.dim)(g)
+    return _automorphism_table(alg, A)(g)
 
 
 def adjoint(alg: NilLieAlgebra, g: list) -> UnipotentAutomorphism:

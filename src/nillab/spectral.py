@@ -91,18 +91,43 @@ def _exp_2pi_i(x: np.ndarray) -> np.ndarray:
     negative x).  Then e(x) = e(k / PHASES) e(t / PHASES): a table entry times
     cos theta + i sin theta at |theta| = 2 pi |t| / PHASES <= 7.7e-4, from
     Taylor terms up to theta^4 and theta^3, whose truncation is below 3e-18.
-    Non-finite x gives nan + nan i without a warning.
+    Non-finite x gives nan + nan i without a warning.  Each step writes into
+    one of four float temporaries or into the result; x is only read.
     """
+    u = np.rint(x, out=np.empty(np.shape(x)))
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as wanted
-        u = (x - np.rint(x)) * PHASES
-    rounded = u + _ROUNDER
-    theta = (u - (rounded - _ROUNDER)) * (TWO_PI / PHASES)
-    theta2 = theta * theta
+        np.subtract(x, u, out=u)
+    np.multiply(u, PHASES, out=u)
+    rounded = np.add(u, _ROUNDER, out=np.empty_like(u))
+    theta2 = np.subtract(rounded, _ROUNDER, out=np.empty_like(u))  # rint(u) until theta
+    theta = np.subtract(u, theta2, out=u)
+    np.multiply(theta, TWO_PI / PHASES, out=theta)
+    np.multiply(theta, theta, out=theta2)
+    part = np.multiply(theta2, 1.0 / 24.0, out=np.empty_like(u))
+    np.subtract(0.5, part, out=part)
+    np.multiply(theta2, part, out=part)
+    np.subtract(1.0, part, out=part)
     out = np.empty(np.shape(x), dtype=complex)
-    out.real = 1.0 - theta2 * (0.5 - theta2 * (1.0 / 24.0))
-    out.imag = theta * (1.0 - theta2 * (1.0 / 6.0))
-    out *= _phase_table().take(rounded.view(np.int64) & (PHASES - 1))
+    out.real = part
+    np.multiply(theta2, 1.0 / 6.0, out=part)
+    np.subtract(1.0, part, out=part)
+    np.multiply(theta, part, out=part)
+    out.imag = part
+    k = rounded.view(np.int64)
+    np.bitwise_and(k, PHASES - 1, out=k)
+    out *= _phase_table().take(k)
     return out
+
+
+def _frequency(v) -> int:
+    """A frequency entry as an int: ints, NumPy ints and integral values only."""
+    try:
+        k = int(v)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != v:
+        raise ObservableError("frequency entry %r is not an integer" % (v,))
+    return k
 
 
 class Observable:
@@ -119,7 +144,7 @@ class Observable:
         self.dim = dim
         self.terms = {}
         for k, a in terms.items():
-            k = tuple(int(v) for v in k)
+            k = tuple(_frequency(v) for v in k)
             if len(k) != dim:
                 raise ObservableError("frequency vector has wrong length")
             a = complex(a)
@@ -286,8 +311,11 @@ def _orbit(step, pts, reach: int):
 
 
 def _check_samples(N: int) -> None:
+    """Refuse N before any N-sized block is allocated."""
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
+    if N > 1 << gp.SOBOL_BITS:
+        raise gp.SobolRangeError("at most 2^%d Sobol points, got %d" % (gp.SOBOL_BITS, N))
 
 
 def _check_lag(lag: int) -> None:

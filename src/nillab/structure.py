@@ -143,8 +143,9 @@ class NumericSystem:
     """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
 
     Each generator x -> g * A(x) is held as an affine pair (A, g), g evaluated
-    at the assignment.  Only forward steps exist: the estimators walk every
-    orbit forward.
+    at the assignment and A None when it is the identity, whose table is then
+    skipped.  Only forward steps exist: the estimators walk every orbit
+    forward.
     """
 
     def __init__(self, sys: AffineNilsystem, assignment: dict[str, float]):
@@ -156,11 +157,13 @@ class NumericSystem:
             self._forward2 = self._pair(*sys.second)
 
     def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
-        return A, [evaluate_scalar(t, self.assignment) for t in g]
+        return None if A.is_identity else A, [evaluate_scalar(t, self.assignment) for t in g]
 
     def _affine(self, pts: list, pair: tuple) -> list:
         A, g = pair
-        return gp.multiply(self.alg, g, gp.apply_automorphism(self.alg, A, pts))
+        if A is not None:
+            pts = gp.apply_automorphism(self.alg, A, pts)
+        return gp.multiply(self.alg, g, pts)
 
     def _step(self, pts: list, pair: tuple) -> list:
         rep, _ = gp.reduce_mod_lattice(self.alg, self._affine(pts, pair))

@@ -6,7 +6,9 @@ use of the library's Lie-algebraic code paths, so that agreement is
 meaningful.  ``seminorm_power`` is the full-batch form of the seminorm
 recursion that the library evaluates chunk by chunk.  ``exp_2pi_i_exact``
 computes e(x) = exp(2 pi i x) in exact and decimal arithmetic, with no float
-exponential.
+exponential.  ``polynomial_map_float`` and ``exp_2pi_i_table`` are the plain,
+out-of-place forms of the library's in-place float kernels, which must agree
+with them bit for bit.
 """
 
 import math
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from nillab import spectral
 from nillab.scalars import ExtScalar
 
 
@@ -174,3 +177,41 @@ def exp_2pi_i_exact(x: float) -> complex:
             term = term * theta / (n + 1)
     c, s = (float(v) for v in parts)
     return (complex(c, s), complex(-s, c), complex(-c, -s), complex(s, -c))[q % 4]
+
+
+def polynomial_map_float(pmap, values, floors_at=None):
+    """``pmap(values, floors_at)`` at a float point, by the plain loop.
+
+    Per output, acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term,
+    a fresh value for every product and partial sum; with ``floors_at``, each
+    output's floor is written to ``values[floors_at + i]`` before output i + 1.
+    """
+    values = [float(v) if isinstance(v, (int, Fraction, ExtScalar)) else v for v in values]
+    out = []
+    for i, poly in enumerate(pmap.exact):
+        acc = 0
+        for c, mono in poly:
+            c = float(c)
+            for j in mono:
+                c = c * values[j]
+            acc = acc + c
+        if floors_at is not None:
+            k = np.floor(acc)
+            r = acc - k  # rounds up to 1.0 for acc = -1e-20
+            values[floors_at + i], acc = k, r - (r >= 1.0)
+        out.append(acc)
+    return out if floors_at is None else (out, values[floors_at:])
+
+
+def exp_2pi_i_table(x):
+    """e(x) by the phase table of ``spectral._exp_2pi_i``, every step a fresh array."""
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as wanted
+        u = (x - np.rint(x)) * spectral.PHASES
+    rounded = u + spectral._ROUNDER
+    theta = (u - (rounded - spectral._ROUNDER)) * (spectral.TWO_PI / spectral.PHASES)
+    theta2 = theta * theta
+    out = np.empty(np.shape(x), dtype=complex)
+    out.real = 1.0 - theta2 * (0.5 - theta2 * (1.0 / 24.0))
+    out.imag = theta * (1.0 - theta2 * (1.0 / 6.0))
+    out *= spectral._phase_table().take(rounded.view(np.int64) & (spectral.PHASES - 1))
+    return out

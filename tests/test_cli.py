@@ -227,6 +227,9 @@ _SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
      "--observable", "1,1:nan", "--samples", "2048", "--seed", "3", "--levels", "4"],
     ["useminorm", "--system", "skew_torus_nonergodic", "--observable", "0,1:1",
      "--samples", "1", "--seed", "3", "--levels", "4"],
+    # more than 2^30 Sobol points, refused before the orbit block is allocated
+    ["spectrum", "--system", "rot_torus", "--observable", "1:1", "--samples", "2000000000",
+     "--seed", "3", "--lags", "64"],
 ])
 def test_bad_input_exits_1_with_error_line(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -298,6 +298,68 @@ def test_lattice_and_automorphism_tables_on_random_adapted_algebras(data):
     assert gp.apply_automorphism(alg, same, g) == gp.apply_automorphism(alg, A, g)
 
 
+near_integers = hst.builds(lambda n, to: float(np.nextafter(float(n), to)),
+                           hst.integers(-3, 3), hst.sampled_from([-math.inf, math.inf]))
+float_entries = hst.one_of(hst.sampled_from([0.0, -0.0, 1.0, -1.0]), near_integers,
+                           hst.floats(-4.0, 4.0))
+
+
+@hst.composite
+def float_points(draw, nvars, size):
+    """Python floats mixed with read-only arrays of ``size`` floats (or ints)."""
+    out = []
+    for _ in range(nvars):
+        kind = draw(hst.sampled_from(["scalar", "array", "array", "int array"]))
+        if kind == "scalar":
+            out.append(draw(float_entries))
+            continue
+        if kind == "array":
+            v = np.array(draw(hst.lists(float_entries, min_size=size, max_size=size)))
+        else:
+            v = np.array(draw(hst.lists(hst.integers(-3, 3), min_size=size, max_size=size)))
+        v.flags.writeable = False
+        out.append(v)
+    return out
+
+
+def assert_plan_is_plain_loop(pmap, values, floors_at=None):
+    """The float plan gives the plain loop's outputs bit for bit, as fresh
+    float64 arrays wherever an output is an array, and writes no entry."""
+    before = [np.array(v, copy=True) for v in values]
+    got = pmap(values, floors_at)
+    want = oracles.polynomial_map_float(pmap, values, floors_at)
+    if floors_at is not None:
+        got, want = got[0] + got[1], want[0] + want[1]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+    arrays = [a for a in got if isinstance(a, np.ndarray)]
+    assert all(a.dtype == np.float64 for a in arrays)
+    inputs = [v for v in values if isinstance(v, np.ndarray)]
+    assert not any(np.shares_memory(a, v) for a in arrays for v in inputs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+    assert all(np.array_equal(np.asarray(v), w, equal_nan=True) for v, w in zip(values, before))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.data())
+def test_float_plans_are_bitwise_the_plain_loop(data):
+    alg = data.draw(adapted_algebras())
+    m = alg.dim
+    size = data.draw(hst.integers(1, 4))
+    A = data.draw(unipotent_automorphisms(alg))
+    tables = [(gp.multiply.table(alg), 2 * m, None), (gp.inverse.table(alg), m, None),
+              (gp.second_to_first.table(alg), m, None), (gp.first_to_second.table(alg), m, None),
+              (gp._times_lattice.table(alg), 2 * m, m), (gp._automorphism_table(alg, A), m, None)]
+    for pmap, nvars, floors_at in tables:
+        assert_plan_is_plain_loop(pmap, data.draw(float_points(nvars, size)), floors_at)
+    # reduce_mod_lattice's own call: arrays, then scalar zeros for the floors
+    g = [np.array(data.draw(hst.lists(float_entries, min_size=size, max_size=size)))
+         for _ in range(m)]
+    assert_plan_is_plain_loop(gp._times_lattice.table(alg), g + [0] * m, m)
+
+
 # ---------------------------------------------------------------------------
 # Lattice reduction
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Spectral estimator tests: exact small cases plus catalog cross-checks."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,45 @@ def test_exp_kernel_matches_exact_oracle():
         assert np.array_equal(sp._exp_2pi_i(quarters), [1, 1, 1j, -1, -1j, -1j, -1, 1j, 1, 1])
         bad = sp._exp_2pi_i(np.array([np.nan, np.inf, -np.inf]))
         assert np.all(np.isnan(bad.real) & np.isnan(bad.imag))
+
+
+def test_exp_kernel_is_bitwise_the_table_expression():
+    """The in-place e(x) is the out-of-place phase-table expression bit for
+    bit, and leaves its read-only input as it was."""
+    rng = np.random.default_rng(17)
+    j = np.arange(4 * 64 + 1) / 16  # quarter and sixteenth turns, up to 16
+    xs = np.concatenate([
+        rng.uniform(-8.0, 8.0, 4096), -rng.random(256),
+        2.0 ** rng.uniform(0, 60, 128), -(2.0 ** rng.uniform(0, 60, 128)),
+        2.0 ** rng.uniform(52, 1023, 64), -(2.0 ** rng.uniform(52, 1023, 64)),
+        j, -j, np.nextafter(j, -np.inf), np.nextafter(j, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 2.0 ** 52 - 0.5, np.nan, np.inf, -np.inf],
+    ])
+    before = xs.copy()
+    xs.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sp._exp_2pi_i(xs)
+    want = oracles.exp_2pi_i_table(xs)
+    assert got.dtype == want.dtype == complex
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(xs.view(np.int64), before.view(np.int64))
+    assert not np.shares_memory(got, xs)
+
+
+@pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), np.float64(0.5), -0.25, np.nan,
+                                   np.inf, "1", 1 + 1j])
+def test_observable_rejects_non_integer_frequency(entry):
+    with pytest.raises(ObservableError, match="not an integer"):
+        Observable(2, {(1, entry): 1.0})
+    with pytest.raises(ObservableError, match="not an integer"):
+        Observable.character(2, (entry, 0))
+
+
+def test_observable_accepts_integral_frequencies():
+    f = Observable(3, {(2.0, np.int64(-1), Fraction(4, 2)): 1.0})
+    assert f.terms == {(2, -1, 2): 1.0}
+    assert all(type(k) is int for k in next(iter(f.terms)))
 
 
 @settings(max_examples=200, deadline=None)

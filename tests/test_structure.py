@@ -12,7 +12,10 @@ from nillab import structure as st
 from nillab.algebra import NilLieAlgebra
 from nillab.catalog import catalog_build, catalog_entry, catalog_list
 from nillab.group import UnipotentAutomorphism
+from nillab.scalars import evaluate_scalar
 from nillab.spectral import Observable, project_to_factor
+
+import oracles
 
 F = Fraction
 
@@ -254,6 +257,34 @@ def test_numeric_steps_track_exact_map(name):
             exact, _ = gp.reduce_mod_lattice(
                 alg, gp.multiply(alg, g, gp.apply_automorphism(alg, A, x)))
             assert step(xf) == pytest.approx([float(t) for t in exact], abs=1e-12)
+
+
+def _bitwise_equal(got, want):
+    return all(np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+               for a, b in zip(got, want)) and len(got) == len(want)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_orbit_is_bitwise_the_plain_table_loop(name):
+    """128 steps of each generator equal, bit for bit, the automorphism,
+    multiply and lattice tables evaluated by the plain loop one after another
+    (the identity automorphism table included, which the step skips)."""
+    sys = catalog_build(name)
+    alg = sys.algebra
+    num = sys.numeric()
+    gens = [(num.step, sys.A, sys.g_tau)]
+    if sys.second is not None:
+        gens.append((num.step2, *sys.second))
+    for step, A, g in gens:
+        g = [evaluate_scalar(t, num.assignment) for t in g]
+        pts = want = num.sample_points(512, 11)
+        for _ in range(128):
+            pts = step(pts)
+            x = oracles.polynomial_map_float(gp._automorphism_table(alg, A), want)
+            x = oracles.polynomial_map_float(gp.multiply.table(alg), g + x)
+            want, _ = oracles.polynomial_map_float(
+                gp._times_lattice.table(alg), x + [0] * alg.dim, floors_at=alg.dim)
+            assert _bitwise_equal(pts, want)
 
 
 def test_second_generator_must_commute():
