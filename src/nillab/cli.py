@@ -5,8 +5,9 @@ CSV + spectral report), useminorm (uniformity seminorm CSV), verify (replay
 the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
 config.  useminorm computes every U^s row and its halved-window estimate from
-one orbit walk, over fixed chunks of sample points, so its memory is bounded
-by depth x chunk size rather than depth x N.  NILLAB_THREADS must be a
+one orbit walk.  Both spectral commands walk fixed chunks of sample points, so
+memory is bounded by chunk size, not N: depth x chunk orbit values for
+useminorm, (2 K2 + 1) x chunk for spectrum.  NILLAB_THREADS must be a
 positive integer if set, but it is not yet used: every command runs in one
 thread.
 
@@ -353,10 +354,10 @@ def main(argv=None) -> int:
             run = {"structure": cmd_structure, "spectrum": cmd_spectrum,
                    "useminorm": cmd_useminorm, "catalog": cmd_catalog}[args.command]
             text, code = run(config), 0
-    except (ValueError, UnboundSymbolError) as exc:
+        _emit(text, config.get("out"))
+    except (ValueError, UnboundSymbolError, OSError) as exc:
         _sys.stderr.write("error: %s\n" % exc)
         return 1
-    _emit(text, config.get("out"))
     return code
 
 

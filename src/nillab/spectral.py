@@ -48,12 +48,13 @@ PHASES = 4096
 #: nearest u, and its bits read as an int64 are congruent to k modulo 2^51.
 _ROUNDER = 1.5 * 2.0 ** 52
 
-#: Sample points per chunk of the seminorm walk.  A chunk's orbit block is
-#: depth x CHUNK complex values (8.5 MB at depth 129) whatever N.  Of 1024 to
-#: 8192, 4096 was fastest at N = 2^14 and 10^5: smaller chunks pay more
-#: per-step Python costs.  Fixed, so every estimate is summed over the same
-#: chunks whatever the levels or the rows computed alongside.
-CHUNK = 4096
+#: Sample points per chunk of the seminorm walk, whose block is depth x chunk
+#: values whatever N: 8192 raised `useminorm --levels 64 64` peak RSS 57 -> 70 MB.
+SEMINORM_CHUNK = 4096
+#: Sample points per chunk of the autocorrelation walk (block parts x (2 K2 + 1)
+#: x chunk): on 2 vCPUs, one heisenberg4 series at N = 10^5, K = 256 took 2.6 s
+#: whole-batch, 2.0-3.0 s at 4096, 1.7 s at 8192, 1.5-1.6 s here; 2^13 points is one chunk.
+CORRELATION_CHUNK = 16384
 
 
 class LagBudgetError(ValueError):
@@ -310,21 +311,21 @@ def _orbit(step, pts, reach: int):
         yield pts
 
 
-def _check_samples(N: int) -> None:
-    """Refuse N before any N-sized block is allocated."""
+def _chunks(sys: AffineNilsystem, N: int, seed, assignment, size: int, lags):
+    """The numeric system and the N sample points in chunks of ``size`` (lists
+    of coordinate slices), after checking N and then each walk length in ``lags``."""
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
     if N > 1 << gp.SOBOL_BITS:
         raise gp.SobolRangeError("at most 2^%d Sobol points, got %d" % (gp.SOBOL_BITS, N))
-
-
-def _check_lag(lag: int) -> None:
-    if lag < 0:
-        raise ValueError("lag must be nonnegative, got %d" % lag)
-    if lag > MAX_LAG:
-        raise LagBudgetError(
-            "lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG)
-        )
+    for lag in lags:
+        if lag < 0:
+            raise ValueError("lag must be nonnegative, got %d" % lag)
+        if lag > MAX_LAG:
+            raise LagBudgetError("lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG))
+    num = sys.numeric(assignment)
+    pts = num.sample_points(N, seed)
+    return num, ([x[lo : lo + size] for x in pts] for lo in range(0, N, size))
 
 
 def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed,
@@ -332,19 +333,16 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, one per observable.
 
     Haar measure is T2-invariant and T1 T2 = T2 T1, so with y = T2^K2 z,
-    c(n1, n2) = E[conj f(T2^(K2 - n2) z) . f(T1^n1 y)].  The sample z walks
-    2 K2 steps along T2, keeping conj f at each step in one (2 K2 + 1) x N
-    block; y then walks K1 steps along T1, and each step is contracted row by
-    row against the block.  Every orbit walks forward.  Row n1 = 0 is
-    estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
-    n1 > 0, so Hermitian symmetry is exact.  One generator is K2 = 0.
-    Observables with equal terms are evaluated and contracted once, and each
-    of them gets that box; callables are never merged.
+    c(n1, n2) = E[conj f(T2^(K2 - n2) z) . f(T1^n1 y)].  Each chunk z of
+    sample points walks 2 K2 steps along T2, keeping conj f in a (2 K2 + 1) x
+    chunk block; y then walks K1 steps along T1, and each step's row products
+    are summed into the box, which is divided by N once: one chunk gives np.mean.
+    Row n1 = 0 is estimated for n2 >= 0 and mirrored, the rows n1 < 0 are
+    mirrored from n1 > 0, so Hermitian symmetry is exact.  One generator is
+    K2 = 0.  Observables with equal terms are evaluated and contracted once,
+    and each of them gets that box; callables are never merged.
     """
-    _check_samples(N)
-    _check_lag(K1)
-    _check_lag(K2)
-    num = sys.numeric(assignment)
+    num, chunks = _chunks(sys, N, seed, assignment, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
     for q, f in enumerate(fs):
         key = (f.dim, tuple(f.terms.items())) if isinstance(f, Observable) else q
@@ -360,17 +358,20 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
         shared = iter(evaluate_observables(obs, pts))
         return [next(shared) if isinstance(f, Observable) else f(pts) for f in parts]
 
-    kept = np.empty((len(parts), 2 * K2 + 1, N), dtype=complex)
-    for j, z in enumerate(_orbit(num.step2, num.sample_points(N, seed), 2 * K2)):
-        for q, fz in enumerate(values(z)):
-            kept[q, j] = np.conj(fz)
-        if j == K2:
-            y = z
-    half = np.empty((len(parts), K1 + 1, 2 * K2 + 1), dtype=complex)
-    for n1, x in enumerate(_orbit(num.step, y, K1)):
-        for q, fx in enumerate(values(x)):
-            for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
-                half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
+    # -0.0 is the exact additive identity (+0.0 would turn a sum of -0.0 into +0.0)
+    half = np.full((len(parts), K1 + 1, 2 * K2 + 1), complex(-0.0, -0.0))
+    for chunk in chunks:
+        kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
+        for j, z in enumerate(_orbit(num.step2, chunk, 2 * K2)):
+            for q, fz in enumerate(values(z)):
+                kept[q, j] = np.conj(fz)
+            if j == K2:
+                y = z
+        for n1, x in enumerate(_orbit(num.step, y, K1)):
+            for q, fx in enumerate(values(x)):
+                for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
+                    half[q, n1, i] += np.sum(kept[q, 2 * K2 - i] * fx)
+    half /= N
     for h in half:
         h[0] = _hermitian(h[0, K2:])
     return [_hermitian(half[p]).ravel() for p in where]
@@ -590,20 +591,16 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
                    seed, assignment) -> list[SeminormEstimate]:
     """The U^s estimate on the levels H_levels[:s] for each s in ``orders``, one walk.
 
-    The orbit is walked and contracted one chunk of ``CHUNK`` sample points at
-    a time, so only a depth x CHUNK block of orbit values is held.  A row and
-    its halved-window estimate read the same blocks, whichever rows share them.
+    Each chunk of sample points is walked and contracted in turn, so only a
+    depth x chunk block of orbit values is held.  A row and its halved-window
+    estimate read the same blocks, whichever rows share them.
     """
     windows = [w for s in orders
                for w in (H_levels[:s], tuple(max(1, h // 2) for h in H_levels[:s]))]
-    _check_samples(N)
-    _check_lag(sum(H_levels))  # the steps the walk takes
     depth = 1 + sum(H_levels)
-    num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
+    num, chunks = _chunks(sys, N, seed, assignment, SEMINORM_CHUNK, (depth - 1,))
     sums = [0j] * len(windows)
-    for lo in range(0, N, CHUNK):
-        chunk = [x[lo : lo + CHUNK] for x in pts]
+    for chunk in chunks:
         g = np.empty((depth, len(chunk[0])), dtype=complex)
         for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
             g[t] = f(cur)

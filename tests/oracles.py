@@ -4,7 +4,8 @@ The exact matrix arithmetic is deliberately written from scratch against
 unitriangular matrix groups (lists of lists over Fraction/ExtScalar), with no
 use of the library's Lie-algebraic code paths, so that agreement is
 meaningful.  ``seminorm_power`` is the full-batch form of the seminorm
-recursion that the library evaluates chunk by chunk.  ``exp_2pi_i_exact``
+recursion, and ``correlations`` the whole-batch walk of the autocorrelations,
+both of which the library evaluates chunk by chunk.  ``exp_2pi_i_exact``
 computes e(x) = exp(2 pi i x) in exact and decimal arithmetic, with no float
 exponential.  ``polynomial_map_float`` and ``exp_2pi_i_table`` are the plain,
 out-of-place forms of the library's in-place float kernels, which must agree
@@ -131,6 +132,41 @@ def seminorm_power(G, s, H_levels):
     for h in range(1, H + 1):
         acc += seminorm_power(G[h : h + depth] * np.conj(G[:depth]), s - 1, H_levels)
     return acc / H
+
+
+def correlations(sys, fs, K1, K2, N, seed, assignment=None):
+    """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, by the whole-batch walk.
+
+    All N sample points z walk at once: 2 K2 steps along T2, keeping every
+    conj f(T2^j z) in one (2 K2 + 1) x N block, then y = T2^K2 z walks K1
+    steps along T1, and c(n1, n2) = np.mean(conj f(T2^(K2 - n2) z) . f(T1^n1 y)).
+    Each f is called on each batch in list order.  The rows n1 = 0, n2 < 0 and
+    n1 < 0 are mirrored by c(-n) = conj(c(n)).
+    """
+    def hermitian(half):
+        return np.concatenate([np.conj(np.flip(half[1:])), half])
+
+    num = sys.numeric(assignment)
+    z = num.sample_points(N, seed)
+    kept = np.empty((len(fs), 2 * K2 + 1, N), dtype=complex)
+    for j in range(2 * K2 + 1):
+        if j:
+            z = num.step2(z)
+        for q, f in enumerate(fs):
+            kept[q, j] = np.conj(f(z))
+        if j == K2:
+            x = z
+    half = np.empty((len(fs), K1 + 1, 2 * K2 + 1), dtype=complex)
+    for n1 in range(K1 + 1):
+        if n1:
+            x = num.step(x)
+        for q, f in enumerate(fs):
+            fx = f(x)
+            for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
+                half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
+    for h in half:
+        h[0] = hermitian(h[0, K2:])
+    return [hermitian(h).ravel() for h in half]
 
 
 def observable_direct(f, pts):

@@ -230,6 +230,9 @@ _SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
     # more than 2^30 Sobol points, refused before the orbit block is allocated
     ["spectrum", "--system", "rot_torus", "--observable", "1:1", "--samples", "2000000000",
      "--seed", "3", "--lags", "64"],
+    # an --out file that cannot be opened: a missing directory, and a directory
+    ["catalog", "--out", "/nonexistent/dir/x"],
+    ["catalog", "--out", "."],
 ])
 def test_bad_input_exits_1_with_error_line(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -1,5 +1,6 @@
 """Spectral estimator tests: exact small cases plus catalog cross-checks."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -284,6 +285,52 @@ def test_autocorrelation_many_is_the_plain_orbit_mean():
         x = num.step(x)
 
 
+_C = sp.CORRELATION_CHUNK
+
+
+@pytest.mark.parametrize("N", [1000, _C - 1, _C, _C + 1, 3 * _C + 17])
+@pytest.mark.parametrize("name, K2", [("heisenberg3", 0), ("z2_skew", 0), ("z2_skew", 3)])
+def test_chunked_correlations_match_whole_batch_oracle(name, K2, N):
+    """Bitwise the whole-batch walk while the sample is one chunk, and within
+    1e-15 c(0) across chunk boundaries.  On heisenberg3 a quadrature
+    [projection, complement] pair runs the complement's reuse of the
+    projection's batch in every chunk."""
+    sys = catalog_build(name)
+    K = 6
+    if name == "heisenberg3":
+        alg = sys.algebra
+        kernel = la.span(alg, [alg.basis_vector(1), alg.basis_vector(2)])
+        f = Observable(3, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 1): 0.5})
+        fs = [f, *project_to_factor(sys, f, kernel, samples=2)]
+    else:
+        fs = [Observable(2, {(0, 1): 1.0, (1, 2): 0.5}), Observable.character(2, (1, 0))]
+    if K2:
+        got = [joint_autocorrelation(sys, f, (K, K2), N, seed=17).values for f in fs]
+        want = [w for f in fs for w in oracles.correlations(sys, [f], K, K2, N, 17)]
+    else:
+        got = [s.values for s in autocorrelation_many(sys, fs, K, N, seed=17)]
+        want = oracles.correlations(sys, fs, K, K2, N, 17)
+    assert len(got) == len(want) == len(fs)
+    for g, w in zip(got, want):
+        if N <= _C:
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-15 * abs(w[len(w) // 2])
+
+
+def test_joint_autocorrelation_memory_is_bounded_by_the_chunk():
+    """A whole-batch walk would hold a (2 K2 + 1) x N block, 52.8 MB at
+    K2 = 16 and N = 10^5; the chunked walk holds (2 K2 + 1) x chunk values."""
+    sys = catalog_build("z2_skew")
+    tracemalloc.start()
+    try:
+        joint_autocorrelation(sys, Observable.character(2, (0, 1)), (8, 16), 10 ** 5, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 53e6
+
+
 def test_autocorrelation_input_validation():
     sys = catalog_build("rot_torus")
     f = Observable.character(1, (1,))
@@ -429,7 +476,7 @@ def test_chunked_seminorm_matches_full_batch_oracle(data):
     s = data.draw(hst.integers(0, 3), label="s")
     levels = tuple(data.draw(hst.lists(hst.integers(1, 9), min_size=s, max_size=s),
                              label="levels"))
-    C = sp.CHUNK
+    C = sp.SEMINORM_CHUNK
     N = data.draw(hst.sampled_from([1000, C - 1, C, C + 1, 3 * C + 17]), label="N")
     seed = data.draw(hst.integers(0, 2 ** 16), label="seed")
     est = uniformity_seminorm(sys, f, s, levels, N, seed)
@@ -461,7 +508,7 @@ def test_seminorm_ladder_rows_equal_standalone_estimates():
     sys = catalog_build("heisenberg3")
     f = Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0})
     levels = (7, 5, 3)
-    N = sp.CHUNK + 5  # a full chunk and a short one
+    N = sp.SEMINORM_CHUNK + 5  # a full chunk and a short one
     rows = seminorm_ladder(sys, f, levels, N, seed=3)
     assert [r.s for r in rows] == [1, 2, 3]
     for s, row in enumerate(rows, 1):
