@@ -55,6 +55,12 @@ SEMINORM_CHUNK = 4096
 #: x chunk): on 2 vCPUs, one heisenberg4 series at N = 10^5, K = 256 took 2.6 s
 #: whole-batch, 2.0-3.0 s at 4096, 1.7 s at 8192, 1.5-1.6 s here; 2^13 points is one chunk.
 CORRELATION_CHUNK = 16384
+#: Columns per block of the s = 2 seminorm level: its row copy, conjugates and
+#: product buffer, (4 H + 1) x 512 values, fill 2 MB at H = 64, one core's L2.
+#: Four (64, 64) chunks on a 2-vCPU Xeon: 70-96 ms, 128-145 ms on whole rows,
+#: 102-112 ms on blocks sliced from g (its rows lie 64 KB apart, all in the
+#: same cache sets) rather than copied; 256 and 1024 columns were slower.
+BLOCK = 512
 
 
 class LagBudgetError(ValueError):
@@ -120,14 +126,14 @@ def _exp_2pi_i(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frequency(v) -> int:
-    """A frequency entry as an int: ints, NumPy ints and integral values only."""
+def _integral(v, what: str, error=ValueError) -> int:
+    """``v`` as an int: ints, NumPy ints and integral values only, else ``error``."""
     try:
         k = int(v)
     except (TypeError, ValueError, OverflowError):
         k = None
     if k is None or k != v:
-        raise ObservableError("frequency entry %r is not an integer" % (v,))
+        raise error("%s %r is not an integer" % (what, v))
     return k
 
 
@@ -145,7 +151,7 @@ class Observable:
         self.dim = dim
         self.terms = {}
         for k, a in terms.items():
-            k = tuple(_frequency(v) for v in k)
+            k = tuple(_integral(v, "frequency entry", ObservableError) for v in k)
             if len(k) != dim:
                 raise ObservableError("frequency vector has wrong length")
             a = complex(a)
@@ -335,10 +341,11 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     Haar measure is T2-invariant and T1 T2 = T2 T1, so with y = T2^K2 z,
     c(n1, n2) = E[conj f(T2^(K2 - n2) z) . f(T1^n1 y)].  Each chunk z of
     sample points walks 2 K2 steps along T2, keeping conj f in a (2 K2 + 1) x
-    chunk block; y then walks K1 steps along T1, and each step's row products
-    are summed into the box, which is divided by N once: one chunk gives np.mean.
-    Row n1 = 0 is estimated for n2 >= 0 and mirrored, the rows n1 < 0 are
-    mirrored from n1 > 0, so Hermitian symmetry is exact.  One generator is
+    chunk block; y then walks K1 steps along T1, its values at y read back
+    from the block, and each step's row products are summed into the box,
+    which is divided by N once: one chunk gives np.mean.  Row n1 = 0 is
+    estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
+    n1 > 0, so Hermitian symmetry is exact.  One generator is
     K2 = 0.  Observables with equal terms are evaluated and contracted once,
     and each of them gets that box; callables are never merged.
     """
@@ -368,7 +375,8 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
             if j == K2:
                 y = z
         for n1, x in enumerate(_orbit(num.step, y, K1)):
-            for q, fx in enumerate(values(x)):
+            # f(y) is conj of the kept row K2, exactly: conj only flips a sign
+            for q, fx in enumerate(values(x) if n1 else map(np.conj, kept[:, K2])):
                 for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
                     half[q, n1, i] += np.sum(kept[q, 2 * K2 - i] * fx)
     half /= N
@@ -551,6 +559,20 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
     is about min(H1, H2) (2 max(H1, H2) - min(H1, H2)) / 2 row products in
     place of H2 (H1 + 1), 2143 in place of 4160 at H1 = H2 = 64, and s = 3
     gets the saving through its s = 2 calls.
+
+    The s = 2 products are formed on column blocks of at most BLOCK points,
+    cut in equal widths so that no block is one column wide (NumPy would sum
+    a one-column block pairwise, not row by row).  Each block copies the rows
+    it reads into one buffer and conj(g_1..g_low) into a second, writes each
+    shift's products into one reused buffer and sums them down into that
+    shift's full-width row of sums (row 1 holds the diagonal).  Each s = 1
+    call then gets two rows, g_a conj(g_0) and the sums, at H = 1, so its dot
+    still runs over the whole chunk.  Every sum is added in the order of the
+    full-width form kept in ``tests/oracles.py``.  Only a diagonal product
+    can differ from that form's, in the last bit: NumPy's complex multiply
+    is not commutative bit for bit, and that form multiplies conj(g_a)^2 by
+    g_2a, as here, only when NumPy reuses the squares' temporary in place
+    (at 256 KiB and more, so at every chunk of 4096 points with min(H) >= 4).
     """
     if s == 0:
         return complex(g[0].sum())
@@ -559,11 +581,31 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
         return complex(np.dot(g[1 : H + 1].sum(0), np.conj(g[0]))) / H
     if s == 2:
         low, high = sorted(H_levels[:2])
-        base = np.conj(g[: low + 1])
-        acc = complex(np.dot((g[2 : 2 * low + 1 : 2] * base[1:] ** 2).sum(0), g[0]))
+        span, width = low + high + 1, g.shape[1]  # the level reads g[:span]
+        count = -(-width // BLOCK)
+        edges = [width * k // count for k in range(count + 1)]
+        size = -(-width // count)
+        rows = np.empty((high + 1, width), dtype=complex)
+        block = np.empty((span, size), dtype=complex)
+        conj = np.empty((low, size), dtype=complex)
+        prod = np.empty((low, size), dtype=complex)
+        for lo, hi in zip(edges, edges[1:]):
+            gb, cb, pb = (b[:, : hi - lo] for b in (block, conj, prod))
+            np.copyto(gb, g[:span, lo:hi])
+            np.conjugate(gb[1 : low + 1], out=cb)
+            np.multiply(cb, cb, out=pb)
+            np.multiply(pb, gb[2 : 2 * low + 1 : 2], out=pb)
+            np.add.reduce(pb, axis=0, out=rows[1, lo:hi])
+            for a in range(2, high + 1):
+                n = min(a - 1, low)
+                p = np.multiply(gb[a + 1 : a + n + 1], cb[:n], out=pb[:n])
+                np.add.reduce(p, axis=0, out=rows[a, lo:hi])
+        acc = complex(np.dot(rows[1], g[0]))
+        base = np.conj(g[0])
         for a in range(2, high + 1):
             n = min(a - 1, low)
-            pair = _seminorm_power(g[a : a + n + 1] * base[: n + 1], 1, (n,))
+            np.multiply(g[a], base, out=rows[a - 1])  # rows[a - 1] is spent
+            pair = _seminorm_power(rows[a - 1 : a + 1], 1, (1,)) / n
             acc += (2 if a <= low else 1) * n * pair
         return acc / (low * high)
     depth = 1 + sum(H_levels[: s - 1])
@@ -577,9 +619,11 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
 def _seminorm_levels(s: int, H_levels) -> tuple[int, ...]:
     if s < 0 or s > 3:
         raise ValueError("s must be in 0..3")
-    if isinstance(H_levels, int):
+    try:
+        H_levels = tuple(H_levels)
+    except TypeError:  # one level for every s
         H_levels = (H_levels,) * s
-    H_levels = tuple(int(h) for h in H_levels)
+    H_levels = tuple(_integral(h, "level") for h in H_levels)
     if len(H_levels) != s:
         raise ValueError("need one H per recursion level")
     if any(h < 1 for h in H_levels):

@@ -5,7 +5,9 @@ unitriangular matrix groups (lists of lists over Fraction/ExtScalar), with no
 use of the library's Lie-algebraic code paths, so that agreement is
 meaningful.  ``seminorm_power`` is the full-batch form of the seminorm
 recursion, and ``correlations`` the whole-batch walk of the autocorrelations,
-both of which the library evaluates chunk by chunk.  ``exp_2pi_i_exact``
+both of which the library evaluates chunk by chunk; ``seminorm_power_full_width``
+is the library's symmetric kernel with its s = 2 level on whole rows, which
+the library forms on column blocks.  ``exp_2pi_i_exact``
 computes e(x) = exp(2 pi i x) in exact and decimal arithmetic, with no float
 exponential.  ``polynomial_map_float`` and ``exp_2pi_i_table`` are the plain,
 out-of-place forms of the library's in-place float kernels, which must agree
@@ -132,6 +134,34 @@ def seminorm_power(G, s, H_levels):
     for h in range(1, H + 1):
         acc += seminorm_power(G[h : h + depth] * np.conj(G[:depth]), s - 1, H_levels)
     return acc / H
+
+
+def seminorm_power_full_width(g, s, H_levels):
+    """The library's seminorm kernel with its s = 2 level on whole rows.
+
+    Each unordered shift pair (a, t), t < a, is summed once as one full-width
+    product of n + 1 rows g[a : a + n + 1] conj(g[: n + 1]) passed to the s = 1
+    level, and the diagonal as one product of every other row; the library
+    forms the same products on column blocks.  s = 0 and 1 call the library,
+    and s = 3 runs its recursion over this s = 2 level.
+    """
+    if s < 2:
+        return spectral._seminorm_power(g, s, H_levels)
+    if s == 3:
+        depth = 1 + sum(H_levels[:2])
+        base = np.conj(g[:depth])
+        acc = 0.0j
+        for h in range(1, H_levels[2] + 1):
+            acc += seminorm_power_full_width(g[h : h + depth] * base, 2, H_levels)
+        return acc / H_levels[2]
+    low, high = sorted(H_levels[:2])
+    base = np.conj(g[: low + 1])
+    acc = complex(np.dot((g[2 : 2 * low + 1 : 2] * base[1:] ** 2).sum(0), g[0]))
+    for a in range(2, high + 1):
+        n = min(a - 1, low)
+        pair = spectral._seminorm_power(g[a : a + n + 1] * base[: n + 1], 1, (n,))
+        acc += (2 if a <= low else 1) * n * pair
+    return acc / (low * high)
 
 
 def correlations(sys, fs, K1, K2, N, seed, assignment=None):

@@ -268,8 +268,8 @@ def test_autocorrelation_many_contracts_each_distinct_part_once(monkeypatch):
     for series, want in zip(many, [*pair, pair[0]]):
         assert series.values.tobytes() == want.values.tobytes()
     assert many[3].values.tobytes() == many[4].values.tobytes()
-    assert evaluated == [2] * 18  # the kept sample, then the sample and 16 steps along T
-    assert len(called) == 2 * 18
+    assert evaluated == [2] * 17  # the sample, kept and reused, then 16 steps along T
+    assert len(called) == 2 * 17
 
 
 def test_autocorrelation_many_is_the_plain_orbit_mean():
@@ -504,6 +504,31 @@ def test_seminorm_kernel_matches_oracle_at_s_2_and_3(data):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+_B = sp.BLOCK
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("levels", [(64, 64), (64, 48), (9, 6), (1, 1), (1, 8)])
+def test_blocked_seminorm_kernel_matches_full_width_oracle(s, levels):
+    # the s = 2 level forms its products on column blocks; the oracle forms
+    # them on whole rows.  Every width below crosses a block edge differently.
+    levels = levels + (2,) * (s - 2)
+    rng = np.random.default_rng(sum(levels) + s)
+    for width in (1, _B - 1, _B, _B + 1, 3 * _B + 17, sp.SEMINORM_CHUNK):
+        shape = (1 + sum(levels), width)
+        G = rng.uniform(0.5, 1.5, shape) * np.exp(2j * np.pi * rng.uniform(-0.1, 0.1, shape))
+        want = oracles.seminorm_power_full_width(G, s, levels)
+        got = sp._seminorm_power(G, s, levels)
+        if min(levels[:2]) >= 48:
+            # pair sums and dots are bitwise the oracle's, and so is the
+            # diagonal once the oracle multiplies in place into its squares
+            assert got == want, width
+        else:
+            # the oracle's diagonal product may take its operands in the
+            # other order, which moves the last bit of some products
+            assert abs(got - want) <= 1e-15 * abs(want), width
+
+
 def test_seminorm_ladder_rows_equal_standalone_estimates():
     sys = catalog_build("heisenberg3")
     f = Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0})
@@ -533,6 +558,28 @@ def test_seminorm_validation():
             uniformity_seminorm(sys, f, 1, 4, N, seed=0)
         with pytest.raises(ValueError, match="at least 10\\^3"):
             seminorm_ladder(sys, f, (4, 4), N, seed=0)
+
+
+@pytest.mark.parametrize("h", [2.9, 2.5, np.float64(1.5), "2", 2 + 0j, None])
+def test_seminorm_rejects_non_integral_levels(h):
+    sys = catalog_build("rot_torus")
+    f = Observable.character(1, (1,))
+    for call in (lambda: uniformity_seminorm(sys, f, 1, (h,), 1024, seed=1),
+                 lambda: uniformity_seminorm(sys, f, 2, h, 1024, seed=1),
+                 lambda: seminorm_ladder(sys, f, (3, h), 1024, seed=1)):
+        with pytest.raises(ValueError, match="level .* is not an integer"):
+            call()
+
+
+def test_seminorm_accepts_integral_levels():
+    sys = catalog_build("rot_torus")
+    f = Observable.character(1, (1,))
+    want = uniformity_seminorm(sys, f, 2, (2, 3), 1024, seed=1)
+    for levels in [(2.0, np.int64(3)), (Fraction(4, 2), 3.0), np.array([2, 3])]:
+        est = uniformity_seminorm(sys, f, 2, levels, 1024, seed=1)
+        assert est.H_levels == (2, 3) and all(type(h) is int for h in est.H_levels)
+        assert (est.value, est.stability_delta) == (want.value, want.stability_delta)
+    assert uniformity_seminorm(sys, f, 2, 3.0, 1024, seed=1).H_levels == (3, 3)
 
 
 def test_seminorm_lag_cap_counts_the_steps_walked():
@@ -633,8 +680,8 @@ def test_quadrature_complement_reuses_the_projection_of_the_same_batch():
     proj, compl = project_to_factor(sys, counted, kernel, samples=M)
     autocorrelation_many(sys, [proj, compl], K, 1024, seed=11)
     # per batch: M^2 translates for the projection, one call of f for the
-    # complement; the base batch and the K + 1 lags 0..K are batches
-    assert calls[0] == (K + 1) * (M ** 2 + 1) + (M ** 2 + 1)
+    # complement; the K + 1 lags 0..K are the batches, lag 0 the kept sample
+    assert calls[0] == (K + 1) * (M ** 2 + 1)
 
 
 def test_projection_rejects_noninvariant_kernel():
