@@ -1,9 +1,10 @@
 """Built-in reference systems with their known structural and spectral answers.
 
-Each entry carries an exact constructor (with formal symbols for the
-irrational translation data), a default numeric assignment for dynamics, and
-the expected answers of the structure and spectral layers.  The expected
-fields are the golden data the test suite replays.
+Each entry carries its system as data (algebra, automorphisms and
+translations, with formal symbols for the irrational translation data), a
+default numeric assignment for dynamics, and the expected answers of the
+structure and spectral layers.  The expected fields are the golden data the
+test suite replays.
 """
 
 from __future__ import annotations
@@ -19,15 +20,28 @@ from .structure import AffineNilsystem
 
 SQRT2M1 = 2.0 ** 0.5 - 1.0
 SQRT3M1 = 3.0 ** 0.5 - 1.0
+_SKEW = [[1, 0], [1, 1]]  # (x, y) -> (x, x + y)
 
 
 @dataclass
 class CatalogEntry:
+    """One system: its algebra and generators beside its expected answers.
+
+    ``algebra`` is (dim, step, brackets) as :class:`NilLieAlgebra` takes them;
+    ``automorphism`` is T's matrix, None for the identity; ``translation``
+    lists T's translation coordinates, each 0 or a symbol name; ``second``
+    holds (automorphism, translation) of a commuting T2 for a Z^2-system.
+    """
+
     name: str
     summary: str
     symbols: tuple[str, ...]
     default_assignment: dict[str, float]
+    algebra: tuple
+    translation: tuple
     expected: dict
+    automorphism: list | None = None
+    second: tuple | None = None
     observables: list[dict] = field(default_factory=list)
     dichotomy_observables: list[dict] = field(default_factory=list)
 
@@ -35,82 +49,20 @@ class CatalogEntry:
         return catalog_build(self.name, params)
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _system(entry: CatalogEntry, ctx: SymbolContext) -> AffineNilsystem:
+    """The entry's system, its symbols formal in ``ctx``."""
+    alg = NilLieAlgebra(*entry.algebra)
 
+    def generator(matrix, translation):
+        A = (identity_automorphism(alg) if matrix is None else
+             UnipotentAutomorphism(alg, [[Fraction(x) for x in row] for row in matrix]))
+        return A, [ctx.symbol(t) if isinstance(t, str) else ctx.constant(t) for t in translation]
 
-# ---------------------------------------------------------------------------
-# Constructors
-# ---------------------------------------------------------------------------
+    A, g_tau = generator(entry.automorphism, entry.translation)
+    second = None if entry.second is None else generator(*entry.second)
+    return AffineNilsystem(alg, A, g_tau, context=ctx, second=second, name=entry.name,
+                           default_assignment=entry.default_assignment)
 
-
-def _build_skew_torus_nonergodic(ctx: SymbolContext) -> AffineNilsystem:
-    alg = NilLieAlgebra(2, 1, {})
-    A = UnipotentAutomorphism(alg, _frac_rows([[1, 0], [1, 1]]))
-    return AffineNilsystem(alg, A, [Fraction(0), Fraction(0)], context=ctx,
-                           name="skew_torus_nonergodic")
-
-
-def _build_skew_torus_ergodic(ctx: SymbolContext) -> AffineNilsystem:
-    alg = NilLieAlgebra(2, 1, {})
-    A = UnipotentAutomorphism(alg, _frac_rows([[1, 0], [1, 1]]))
-    a = ctx.symbol("alpha")
-    return AffineNilsystem(alg, A, [a, ctx.constant(0)], context=ctx,
-                           name="skew_torus_ergodic")
-
-
-def _build_rot_torus(ctx: SymbolContext) -> AffineNilsystem:
-    alg = NilLieAlgebra(1, 1, {})
-    return AffineNilsystem(alg, identity_automorphism(alg), [ctx.symbol("alpha")],
-                           context=ctx, name="rot_torus")
-
-
-def _build_heisenberg3(ctx: SymbolContext) -> AffineNilsystem:
-    alg = NilLieAlgebra(3, 2, {(0, 1): {2: Fraction(1)}})
-    a, b = ctx.symbol("alpha"), ctx.symbol("beta")
-    return AffineNilsystem(alg, identity_automorphism(alg),
-                           [a, b, ctx.constant(0)], context=ctx, name="heisenberg3")
-
-
-def _build_heisenberg4(ctx: SymbolContext) -> AffineNilsystem:
-    # 4x4 unitriangular matrix group; basis xi_1..xi_6 = the matrix units
-    # E12, E23, E34, E13, E24, E14 of the strictly-upper-triangular algebra
-    alg = NilLieAlgebra(6, 3, {
-        (0, 1): {3: Fraction(1)},   # [E12, E23] = E13
-        (1, 2): {4: Fraction(1)},   # [E23, E34] = E24
-        (0, 4): {5: Fraction(1)},   # [E12, E24] = E14
-        (2, 3): {5: Fraction(-1)},  # [E34, E13] = -E14
-    })
-    y, u = ctx.symbol("y_tau"), ctx.symbol("u_tau")
-    zero = ctx.constant(0)
-    g_tau = [zero, u, zero, y, zero, zero]
-    return AffineNilsystem(alg, identity_automorphism(alg), g_tau, context=ctx,
-                           name="heisenberg4")
-
-
-def _build_z2_skew(ctx: SymbolContext) -> AffineNilsystem:
-    alg = NilLieAlgebra(2, 1, {})
-    a, b = ctx.symbol("alpha"), ctx.symbol("beta")
-    zero = ctx.constant(0)
-    A1 = UnipotentAutomorphism(alg, _frac_rows([[1, 0], [1, 1]]))
-    A2 = identity_automorphism(alg)
-    return AffineNilsystem(alg, A1, [a, zero], context=ctx,
-                           second=(A2, [zero, b]), name="z2_skew")
-
-
-_BUILDERS = {
-    "skew_torus_nonergodic": _build_skew_torus_nonergodic,
-    "skew_torus_ergodic": _build_skew_torus_ergodic,
-    "rot_torus": _build_rot_torus,
-    "heisenberg3": _build_heisenberg3,
-    "heisenberg4": _build_heisenberg4,
-    "z2_skew": _build_z2_skew,
-}
-
-
-# ---------------------------------------------------------------------------
-# Golden data
-# ---------------------------------------------------------------------------
 
 _ENTRIES = [
     CatalogEntry(
@@ -118,6 +70,9 @@ _ENTRIES = [
         summary="T(x,y) = (x, x+y) on T^2: nonergodic skew product, order 1",
         symbols=(),
         default_assignment={},
+        algebra=(2, 1, {}),
+        automorphism=_SKEW,
+        translation=(0, 0),
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -142,6 +97,9 @@ _ENTRIES = [
         summary="T(x,y) = (x+alpha, y+x) on T^2: ergodic skew product",
         symbols=("alpha",),
         default_assignment={"alpha": SQRT2M1},
+        algebra=(2, 1, {}),
+        automorphism=_SKEW,
+        translation=("alpha", 0),
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -161,6 +119,8 @@ _ENTRIES = [
         summary="rotation x -> x + alpha on T^1",
         symbols=("alpha",),
         default_assignment={"alpha": SQRT2M1},
+        algebra=(1, 1, {}),
+        translation=("alpha",),
         expected={
             "tau_ideal_dim": 0,
             "J": [],
@@ -179,6 +139,8 @@ _ENTRIES = [
         summary="3-dim Heisenberg nilmanifold, translation by psi(alpha, beta, 0)",
         symbols=("alpha", "beta"),
         default_assignment={"alpha": SQRT2M1, "beta": SQRT3M1},
+        algebra=(3, 2, {(0, 1): {2: 1}}),
+        translation=("alpha", "beta", 0),
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 0, 1]],
@@ -204,6 +166,15 @@ _ENTRIES = [
         summary="4x4 unitriangular nilmanifold (6-dim algebra), translation with symbols y_tau, u_tau",
         symbols=("y_tau", "u_tau"),
         default_assignment={"y_tau": SQRT2M1, "u_tau": SQRT3M1},
+        # 4x4 unitriangular matrix group; basis xi_1..xi_6 = the matrix units
+        # E12, E23, E34, E13, E24, E14 of the strictly-upper-triangular algebra
+        algebra=(6, 3, {
+            (0, 1): {3: 1},   # [E12, E23] = E13
+            (1, 2): {4: 1},   # [E23, E34] = E24
+            (0, 4): {5: 1},   # [E12, E24] = E14
+            (2, 3): {5: -1},  # [E34, E13] = -E14
+        }),
+        translation=(0, "u_tau", 0, "y_tau", 0, 0),
         expected={
             "tau_ideal_dim": 3,
             "J": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
@@ -228,6 +199,10 @@ _ENTRIES = [
         summary="commuting pair T1(x,y) = (x+alpha, y+x), T2(x,y) = (x, y+beta) on T^2",
         symbols=("alpha", "beta"),
         default_assignment={"alpha": SQRT2M1, "beta": SQRT3M1},
+        algebra=(2, 1, {}),
+        automorphism=_SKEW,
+        translation=("alpha", 0),
+        second=(None, (0, "beta")),
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -256,9 +231,7 @@ def catalog_entry(name: str) -> CatalogEntry:
 def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
     """Instantiate a catalog system, its symbols resolved by :func:`substitute_params`."""
     entry = catalog_entry(name)
-    sys = _BUILDERS[name](SymbolContext(entry.symbols))
-    sys.default_assignment = dict(entry.default_assignment)
-    return substitute_params(sys, params)
+    return substitute_params(_system(entry, SymbolContext(entry.symbols)), params)
 
 
 def _rational(name: str, value) -> Fraction:

@@ -553,7 +553,7 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
     h <= H2, t <= H1 (g_j = g[j, i], (H1, H2) = H_levels[:2]), and F is
     symmetric: F(h, t) = F(t, h), the cube symmetry of Host and Kra.  So each
     unordered pair is summed once.  For the larger shift a = 2..max(H1, H2)
-    one s = 1 call over the n = min(a - 1, H1, H2) smaller shifts gives
+    one dot over the n = min(a - 1, H1, H2) smaller shifts gives
     sum_{t <= n} F(a, t); it counts twice while a <= min(H1, H2) (both orders
     lie in the box) and once beyond; the diagonal F(a, a) is one sum.  That
     is about min(H1, H2) (2 max(H1, H2) - min(H1, H2)) / 2 row products in
@@ -565,9 +565,11 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
     a one-column block pairwise, not row by row).  Each block copies the rows
     it reads into one buffer and conj(g_1..g_low) into a second, writes each
     shift's products into one reused buffer and sums them down into that
-    shift's full-width row of sums (row 1 holds the diagonal).  Each s = 1
-    call then gets two rows, g_a conj(g_0) and the sums, at H = 1, so its dot
-    still runs over the whole chunk.  Every sum is added in the order of the
+    shift's full-width row of sums (row 1 holds the diagonal).  Row 0 then
+    takes conj(g_0), and one s = 1 call on rows 0 and 1 at H = 1 gives the
+    diagonal sum; each pair term is the dot of its row of sums with
+    conj(g_a conj(g_0)), formed in one reused full-width buffer, so every dot
+    runs over the whole chunk.  Every sum is added in the order of the
     full-width form kept in ``tests/oracles.py``.  Only a diagonal product
     can differ from that form's, in the last bit: NumPy's complex multiply
     is not commutative bit for bit, and that form multiplies conj(g_a)^2 by
@@ -600,12 +602,13 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
                 n = min(a - 1, low)
                 p = np.multiply(gb[a + 1 : a + n + 1], cb[:n], out=pb[:n])
                 np.add.reduce(p, axis=0, out=rows[a, lo:hi])
-        acc = complex(np.dot(rows[1], g[0]))
-        base = np.conj(g[0])
+        np.conjugate(g[0], out=rows[0])
+        acc = _seminorm_power(rows[:2], 1, (1,))  # the diagonal: rows[1] . g_0
+        term = np.empty(width, dtype=complex)
         for a in range(2, high + 1):
             n = min(a - 1, low)
-            np.multiply(g[a], base, out=rows[a - 1])  # rows[a - 1] is spent
-            pair = _seminorm_power(rows[a - 1 : a + 1], 1, (1,)) / n
+            np.conjugate(np.multiply(g[a], rows[0], out=term), out=term)
+            pair = complex(np.dot(rows[a], term)) / n
             acc += (2 if a <= low else 1) * n * pair
         return acc / (low * high)
     depth = 1 + sum(H_levels[: s - 1])
@@ -676,8 +679,12 @@ def seminorm_ladder(sys: AffineNilsystem, f, H_levels, N: int, seed,
 
     Row s equals ``uniformity_seminorm(sys, f, s, H_levels[:s], N, seed)``.
     """
-    H_levels = _seminorm_levels(len(H_levels), H_levels)
-    return _seminorm_rows(sys, f, range(1, len(H_levels) + 1), H_levels, N, seed, assignment)
+    try:
+        s = len(H_levels)
+    except TypeError:  # unlike uniformity_seminorm, no s to repeat a scalar level for
+        raise ValueError("a ladder needs one level per row, got %r" % (H_levels,)) from None
+    H_levels = _seminorm_levels(s, H_levels)
+    return _seminorm_rows(sys, f, range(1, s + 1), H_levels, N, seed, assignment)
 
 
 # ---------------------------------------------------------------------------

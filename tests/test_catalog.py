@@ -153,6 +153,15 @@ def test_default_assignment_covers_symbols(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_symbols_are_the_names_in_the_translations(name):
+    """An undeclared symbol in a translation, or a declared one no translation uses, fails."""
+    entry = catalog_entry(name)
+    translations = [entry.translation] + ([entry.second[1]] if entry.second else [])
+    named = [t for tr in translations for t in tr if isinstance(t, str)]
+    assert sorted(entry.symbols) == sorted(set(named))
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_serialization_roundtrip(name):
     sys = catalog_build(name)
     path = "/tmp/nillab_roundtrip_%s.json" % name

@@ -553,6 +553,8 @@ def test_seminorm_validation():
         uniformity_seminorm(sys, f, 1, 2000, 2048, seed=0)
     with pytest.raises(ValueError):
         seminorm_ladder(sys, f, (4, 4, 4, 4), 2048, seed=0)
+    with pytest.raises(ValueError, match="one level per row"):  # a scalar gives no row count
+        seminorm_ladder(sys, f, 16, 2048, seed=0)
     for N in (1, 999):  # the sample floor of the autocorrelations
         with pytest.raises(ValueError, match="at least 10\\^3"):
             uniformity_seminorm(sys, f, 1, 4, N, seed=0)
