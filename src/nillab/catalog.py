@@ -238,7 +238,7 @@ def _rational(name: str, value) -> Fraction:
     """The rational a parameter value's text denotes: 0.1 is 1/10, not its binary value."""
     try:
         return Fraction(str(value))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "x", "1/0"
         raise ValueError("parameter %r must be a rational or 'symbolic', got %r" % (name, value))
 
 

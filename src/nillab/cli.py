@@ -77,6 +77,8 @@ def _parse_params(items) -> dict:
         if "=" not in item:
             raise ConfigError("parameter %r is not of the form name=value" % item)
         k, v = item.split("=", 1)
+        if k in out:
+            raise ConfigError("parameter %r is given twice" % k)
         out[k] = v
     return out
 

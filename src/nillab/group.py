@@ -90,7 +90,8 @@ def bch(alg: NilLieAlgebra, x: list, y: list) -> list:
                 break
         else:
             for k in range(m):
-                res[k] = res[k] + coeff * v[k]
+                if v[k]:
+                    res[k] = res[k] + coeff * v[k]
     return res
 
 
@@ -150,17 +151,33 @@ class PolynomialMap:
         return self._plans[key](*values)
 
     def _exact(self, values: list, floors_at: int | None):
+        """The plain loop, acc = 0 then acc = acc + c * x_j1 * x_j2 * ..., with
+        each term that has a zero factor skipped.  A skipped term can only
+        change the type of an int sum (to a Fraction), so it is added then."""
         out = []
         for i, poly in enumerate(self.exact):
             acc = 0
-            for c, mono in poly:
+            for c0, mono in poly:
+                c = c0
                 for j in mono:
-                    c = c * values[j]
-                acc = acc + c
+                    x = values[j]
+                    if not x:
+                        if acc.__class__ is int:
+                            acc = acc + _term(c0, mono, values)
+                        break
+                    c = c * x
+                else:
+                    acc = acc + c
             if floors_at is not None:
                 values[floors_at + i], acc = _exact_floor(acc)
             out.append(acc)
         return out if floors_at is None else (out, values[floors_at:])
+
+
+def _term(c, mono: tuple, values: list):
+    for j in mono:
+        c = c * values[j]
+    return c
 
 
 def _float_entry(v):
@@ -479,19 +496,22 @@ class UnipotentAutomorphism:
         self._map = PolynomialMap.linear(self.matrix)
         self.key = repr(self.matrix)  # with the algebra's key, names the map
         for k in range(m):
-            for i in range(m):
-                e = self.matrix[k][i] - (1 if k == i else 0)
-                if not linalg.is_zero_scalar(e) and k <= i:
+            for i in range(k, m):
+                if (self.matrix[k][i] != 1) if k == i else self.matrix[k][i]:
                     raise AutomorphismError(
                         "not unipotent in the adapted ordering: entry (%d, %d)" % (k, i)
                     )
-        basis = alg.basis()
-        images = [self.apply_vector(e) for e in basis]
+        # M [xi_i, xi_j] = sum_k c_ij^k M xi_k must equal [M xi_i, M xi_j],
+        # with M xi_i the i-th column
+        cols = [list(col) for col in zip(*self.matrix)]
         for i in range(m):
             for j in range(i + 1, m):
-                lhs = self.apply_vector(alg.bracket(basis[i], basis[j]))
-                rhs = alg.bracket(images[i], images[j])
-                if not vec_is_zero([a - b for a, b in zip(lhs, rhs)]):
+                lhs = zero_vector(m)
+                for k, c in alg.brackets.get((i, j), {}).items():
+                    for r, a in enumerate(cols[k]):
+                        if a:
+                            lhs[r] = lhs[r] + c * a
+                if lhs != alg.bracket(cols[i], cols[j]):
                     raise AutomorphismError(
                         "matrix is not a Lie algebra automorphism on pair (%d, %d)" % (i, j)
                     )
@@ -519,10 +539,12 @@ class UnipotentAutomorphism:
 
 
 def _matmul(a: list[list], b: list[list]) -> list[list]:
+    """a b, each entry a sum from Fraction(0) over the nonzero products only."""
     m = len(a)
     return [
-        [sum((a[i][k] * b[k][j] for k in range(m)), start=Fraction(0)) for j in range(m)]
-        for i in range(m)
+        [sum((x * b[k][j] for k, x in enumerate(row) if x and b[k][j]), start=Fraction(0))
+         for j in range(m)]
+        for row in a
     ]
 
 
@@ -545,8 +567,8 @@ def adjoint(alg: NilLieAlgebra, g: list) -> UnipotentAutomorphism:
     w = second_to_first(alg, g)
     cols = terms = alg.basis()  # terms: ad_w^k e / k! for each basis vector e
     for k in range(1, alg.step):
-        terms = [[Fraction(1, k) * t for t in alg.bracket(w, v)] for v in terms]
-        cols = [[a + b for a, b in zip(c, v)] for c, v in zip(cols, terms)]
+        terms = [[Fraction(1, k) * t if t else t for t in alg.bracket(w, v)] for v in terms]
+        cols = [[a + b if b else a for a, b in zip(c, v)] for c, v in zip(cols, terms)]
     return UnipotentAutomorphism(alg, [list(row) for row in zip(*cols)])
 
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .scalars import ExtScalar
 
+_ZERO = Fraction(0)
+
 
 def is_zero_scalar(x) -> bool:
     if isinstance(x, ExtScalar):
@@ -31,6 +33,12 @@ def _unit_divisor(x):
     return Fraction(x)
 
 
+def _cross(p, r: list, c, s: list) -> list:
+    """p r - c s entrywise, forming only the products with no zero factor."""
+    return [(p * a - c * b if a else -(c * b)) if b else (p * a if a else a)
+            for a, b in zip(r, s)]
+
+
 def echelon(rows: list[list]) -> list[list]:
     """Echelon basis of the row span, with every pivot column cleared in the other rows.
 
@@ -42,16 +50,17 @@ def echelon(rows: list[list]) -> list[list]:
     (``[[t, 1], [1, t]]`` and its reverse give different rows), so compare
     spans by membership, not with ``==``.
     """
-    rows = [r for r in rows if not all(is_zero_scalar(x) for x in r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return []
     ncols = len(rows[0])
     out: list[list] = []
+    pivots: list[int] = []
     work = [list(r) for r in rows]
     for col in range(ncols):
         piv_idx = None
         for i, r in enumerate(work):
-            if not is_zero_scalar(r[col]):
+            if r[col]:
                 piv_idx = i
                 break
         if piv_idx is None:
@@ -60,35 +69,33 @@ def echelon(rows: list[list]) -> list[list]:
         p = piv[col]
         rest = []
         for r in work:
-            if is_zero_scalar(r[col]):
+            c = r[col]
+            if not c:
                 rest.append(r)
                 continue
-            c = r[col]
-            newr = [p * r[j] - c * piv[j] for j in range(ncols)]
-            if not all(is_zero_scalar(x) for x in newr):
+            newr = _cross(p, r, c, piv)
+            if any(newr):
                 rest.append(newr)
         work = rest
         out.append(piv)
+        pivots.append(col)
     # back-substitute to clear entries above each pivot, then normalize
-    pivots = [next(j for j in range(ncols) if not is_zero_scalar(r[j])) for r in out]
     for i in range(len(out) - 1, -1, -1):
         p_i = pivots[i]
         piv_entry = out[i][p_i]
         for k in range(i):
             c = out[k][p_i]
-            if is_zero_scalar(c):
-                continue
-            out[k] = [piv_entry * out[k][j] - c * out[i][j] for j in range(len(out[k]))]
+            if c:
+                out[k] = _cross(piv_entry, out[k], c, out[i])
     normed = []
-    for r in out:
-        p = next(j for j in range(ncols) if not is_zero_scalar(r[j]))
+    for r, p in zip(out, pivots):
         d = _unit_divisor(r[p])
-        normed.append([x / d for x in r])
+        normed.append([x / d if x else _ZERO for x in r])
     return normed
 
 
 def pivot_columns(rows: list[list]) -> list[int]:
-    return [next(j for j in range(len(r)) if not is_zero_scalar(r[j])) for r in rows]
+    return [next(j for j, x in enumerate(r) if x) for r in rows]
 
 
 def reduce_vector(rows: list[list], v: list) -> list:
@@ -98,17 +105,15 @@ def reduce_vector(rows: list[list], v: list) -> list:
     The result is a nonzero multiple of the true remainder.
     """
     for r in rows:
-        p = next((j for j in range(len(r)) if not is_zero_scalar(r[j])), None)
-        if p is None or is_zero_scalar(v[p]):
+        p = next((j for j, x in enumerate(r) if x), None)
+        if p is None or not v[p]:
             continue
-        c = v[p]
-        piv = r[p]
-        v = [piv * v[j] - c * r[j] for j in range(len(v))]
+        v = _cross(r[p], v, v[p], r)
     return v
 
 
 def in_span(rows: list[list], v: list) -> bool:
-    return all(is_zero_scalar(x) for x in reduce_vector(rows, v))
+    return not any(reduce_vector(rows, v))
 
 
 def nullspace(rows: list[list]) -> list[list]:
@@ -131,7 +136,8 @@ def nullspace(rows: list[list]) -> list[list]:
                 raise ValueError("nullspace over polynomial pivots is not supported")
             s = 0
             for j in range(p + 1, ncols):
-                s = s + e[i][j] * x[j]
+                if x[j] and e[i][j]:
+                    s = s + e[i][j] * x[j]
             x[p] = (0 - s) / e[i][p]
         basis.append(x)
     return echelon(basis)

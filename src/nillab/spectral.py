@@ -63,6 +63,13 @@ CORRELATION_CHUNK = 16384
 BLOCK = 512
 
 
+#: Largest |k_j| of an Observable's frequency entry.  :func:`evaluate_observables`
+#: keeps every power e(x_j)^1..e(x_j)^|k_j| as a complex array: 16 B a point
+#: each, so 4 KiB a point at 256, 64 MiB for one CORRELATION_CHUNK, and one
+#: product per power (about 0.15 ms per power at 16384 points on a 2-vCPU Xeon).
+MAX_FREQUENCY = 256
+
+
 class LagBudgetError(ValueError):
     """Requested lag exceeds the numeric drift budget of orbit iteration."""
 
@@ -144,7 +151,8 @@ class Observable:
     :func:`evaluate_observables`: one exponential e(x_j) per coordinate the
     terms use, from the phase-table kernel :func:`_exp_2pi_i` (within 1e-15
     of the exact value), then each character e(<k, x>) as a product of
-    integer powers of those values.
+    integer powers of those values.  Since every power up to |k_j| is held at
+    once, a frequency entry with |k_j| > :data:`MAX_FREQUENCY` (256) is refused.
     """
 
     def __init__(self, dim: int, terms: dict[tuple, complex]):
@@ -154,6 +162,9 @@ class Observable:
             k = tuple(_integral(v, "frequency entry", ObservableError) for v in k)
             if len(k) != dim:
                 raise ObservableError("frequency vector has wrong length")
+            if any(abs(v) > MAX_FREQUENCY for v in k):
+                raise ObservableError("frequency entry above %d in %s"
+                                      % (MAX_FREQUENCY, ",".join(map(str, k))))
             a = complex(a)
             if not np.isfinite(a):
                 raise ObservableError("amplitude of frequency %s is not finite: %s"

@@ -11,7 +11,11 @@ the library forms on column blocks.  ``exp_2pi_i_exact``
 computes e(x) = exp(2 pi i x) in exact and decimal arithmetic, with no float
 exponential.  ``polynomial_map_float`` and ``exp_2pi_i_table`` are the plain,
 out-of-place forms of the library's in-place float kernels, which must agree
-with them bit for bit.
+with them bit for bit.  ``bracket_dense``, ``jacobi_failure_dense``,
+``automorphism_failure_dense``, ``matmul_dense``, ``echelon_dense``,
+``reduce_vector_dense`` and ``polynomial_map_exact`` are the dense forms of
+the library's exact kernels, which form only the products with no zero factor
+and must return equal values of equal types.
 """
 
 import math
@@ -281,3 +285,131 @@ def exp_2pi_i_table(x):
     out.imag = theta * (1.0 - theta2 * (1.0 / 6.0))
     out *= spectral._phase_table().take(rounded.view(np.int64) & (spectral.PHASES - 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense exact kernels: every product formed, zero or not
+# ---------------------------------------------------------------------------
+
+
+def bracket_dense(brackets, x, y):
+    """[x, y] from structure constants {(i, j): {k: c}}, every pair's cross
+    product x_i y_j - x_j y_i formed."""
+    res = [Fraction(0)] * len(x)
+    for (i, j), cs in brackets.items():
+        t = x[i] * y[j] - x[j] * y[i]
+        if t == 0:
+            continue
+        for k, c in cs.items():
+            res[k] = res[k] + c * t
+    return res
+
+
+def _basis(dim):
+    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+
+def jacobi_failure_dense(dim, brackets):
+    """The first basis triple (i, j, k), i < j < k, whose Jacobi sum of
+    brackets of dense basis vectors is nonzero, or None."""
+    e = _basis(dim)
+
+    def br(x, y):
+        return bracket_dense(brackets, x, y)
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                         br(br(e[k], e[i]), e[j]))
+                if any(a + b + c != 0 for a, b, c in zip(*terms)):
+                    return (i, j, k)
+    return None
+
+
+def _apply(matrix, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), start=Fraction(0)) for row in matrix]
+
+
+def automorphism_failure_dense(brackets, matrix):
+    """The first pair (i, j), i < j, with M [xi_i, xi_j] != [M xi_i, M xi_j],
+    each side from dense basis vectors, or None."""
+    e = _basis(len(matrix))
+    images = [_apply(matrix, v) for v in e]
+    for i in range(len(e)):
+        for j in range(i + 1, len(e)):
+            lhs = _apply(matrix, bracket_dense(brackets, e[i], e[j]))
+            rhs = bracket_dense(brackets, images[i], images[j])
+            if any(a - b != 0 for a, b in zip(lhs, rhs)):
+                return (i, j)
+    return None
+
+
+def matmul_dense(a, b):
+    m = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), start=Fraction(0)) for j in range(m)]
+            for i in range(m)]
+
+
+def echelon_dense(rows):
+    """``linalg.echelon`` with every cross-multiplication dense."""
+    from nillab.linalg import _unit_divisor
+
+    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    if not work:
+        return []
+    ncols = len(work[0])
+    out = []
+    for col in range(ncols):
+        piv_idx = next((i for i, r in enumerate(work) if r[col] != 0), None)
+        if piv_idx is None:
+            continue
+        piv = work.pop(piv_idx)
+        p = piv[col]
+        rest = []
+        for r in work:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            c = r[col]
+            newr = [p * r[j] - c * piv[j] for j in range(ncols)]
+            if any(x != 0 for x in newr):
+                rest.append(newr)
+        work = rest
+        out.append(piv)
+    pivots = [next(j for j in range(ncols) if r[j] != 0) for r in out]
+    for i in range(len(out) - 1, -1, -1):
+        p_i = pivots[i]
+        for k in range(i):
+            c = out[k][p_i]
+            if c != 0:
+                out[k] = [out[i][p_i] * out[k][j] - c * out[i][j] for j in range(ncols)]
+    return [[x / _unit_divisor(r[p]) for x in r] for r, p in zip(out, pivots)]
+
+
+def reduce_vector_dense(rows, v):
+    for r in rows:
+        p = next((j for j in range(len(r)) if r[j] != 0), None)
+        if p is None or v[p] == 0:
+            continue
+        c, piv = v[p], r[p]
+        v = [piv * v[j] - c * r[j] for j in range(len(v))]
+    return v
+
+
+def polynomial_map_exact(pmap, values, floors_at=None):
+    """``pmap(values, floors_at)`` at an exact point, every term formed:
+    acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term."""
+    values = list(values)
+    out = []
+    for i, poly in enumerate(pmap.exact):
+        acc = 0
+        for c, mono in poly:
+            for j in mono:
+                c = c * values[j]
+            acc = acc + c
+        if floors_at is not None:
+            k = Fraction(math.floor(acc if not isinstance(acc, ExtScalar) else acc.as_rational()))
+            values[floors_at + i], acc = k, acc - k
+        out.append(acc)
+    return out if floors_at is None else (out, values[floors_at:])

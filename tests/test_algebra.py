@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from nillab import group as gp
 from nillab import linalg
 from nillab.algebra import (
     AlgebraValidationError,
@@ -16,6 +18,7 @@ from nillab.algebra import (
 )
 from nillab.scalars import SymbolContext
 
+import oracles
 from oracles import H3_UNITS, H4_UNITS, matrix_to_vec, mmul, vec_to_matrix
 from test_group import adapted_algebras, small_fractions
 
@@ -45,6 +48,17 @@ def test_validation_rejects_bad_jacobi():
             (0, 1): {3: Fraction(1)},
             (2, 3): {4: Fraction(1)},
         })
+
+
+@pytest.mark.parametrize("brackets", [
+    {(0, 1): {3: 1}, (2, 3): {4: 1}},  # only [[x1, x2], x3] is nonzero
+    {(1, 2): {3: 1}, (0, 3): {4: 1}},  # only [[x2, x3], x1]
+    {(0, 2): {3: 1}, (1, 3): {4: 1}},  # only [[x3, x1], x2]
+])
+def test_jacobi_check_reads_each_cyclic_term(brackets):
+    assert oracles.jacobi_failure_dense(5, brackets) == (0, 1, 2)
+    with pytest.raises(AlgebraValidationError, match=re.escape("basis triple (0, 1, 2)")):
+        NilLieAlgebra.from_brackets(5, brackets)
 
 
 def test_validation_rejects_wrong_step():
@@ -173,3 +187,70 @@ def test_ideal_closures_on_random_adapted_algebras(data):
     assert hull.contains_ideal(sym)
     assert rational_hull(hull).basis == hull.basis
     assert hull.equals(smallest_ideal_containing(alg, [vecs[0], vecs[-1]]))
+
+
+def _sparse_scalars(t):
+    """Mostly zeros, else a rational or a polynomial in t."""
+    zero = hst.just(Fraction(0))
+    return hst.one_of(zero, zero, zero, small_fractions,
+                      hst.builds(lambda a, b: a + b * t, small_fractions, small_fractions),
+                      hst.builds(lambda a: a * t * t, small_fractions))
+
+
+def _same(got, want):
+    """Equal values of equal types, entry by entry, in nested lists."""
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+def _types(v):
+    return [_types(x) for x in v] if isinstance(v, (list, tuple)) else type(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.data())
+def test_sparse_kernels_match_dense_oracles(data):
+    alg = data.draw(adapted_algebras())
+    m = alg.dim
+    t = SymbolContext(("t",)).symbol("t")
+    vectors = hst.lists(_sparse_scalars(t), min_size=m, max_size=m)
+    x, y = data.draw(vectors), data.draw(vectors)
+    _same(alg.bracket(x, y), oracles.bracket_dense(alg.brackets, x, y))
+    rows = data.draw(hst.lists(vectors, min_size=1, max_size=4))
+    basis = linalg.echelon(rows)
+    _same(basis, oracles.echelon_dense(rows))
+    _same(linalg.reduce_vector(basis, x), oracles.reduce_vector_dense(basis, x))
+    # one more adapted structure constant: Jacobi fails exactly when the
+    # dense sum does, and on the same first triple
+    assert oracles.jacobi_failure_dense(m, alg.brackets) is None
+    i, j, k = sorted(data.draw(hst.lists(hst.integers(0, m - 1), min_size=3, max_size=3,
+                                         unique=True)))
+    bent = {ij: dict(cs) for ij, cs in alg.brackets.items()}
+    bent.setdefault((i, j), {})
+    bent[i, j][k] = bent[i, j].get(k, 0) + data.draw(small_fractions.filter(bool))
+    failure = oracles.jacobi_failure_dense(m, bent)
+    if failure is None:
+        NilLieAlgebra.from_brackets(m, bent)
+    else:
+        with pytest.raises(AlgebraValidationError, match=re.escape("triple %r" % (failure,))):
+            NilLieAlgebra.from_brackets(m, bent)
+    # Ad_g at a symbolic g is an automorphism; an elementary shear may not be
+    A = gp.adjoint(alg, x)
+    assert oracles.automorphism_failure_dense(alg.brackets, A.matrix) is None
+    shear = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+    shear[data.draw(hst.sampled_from([j, k]))][i] = data.draw(small_fractions.filter(bool))
+    failure = oracles.automorphism_failure_dense(alg.brackets, shear)
+    if failure is None:
+        gp.UnipotentAutomorphism(alg, shear)
+    else:
+        with pytest.raises(gp.AutomorphismError, match=re.escape("pair %r" % (failure,))):
+            gp.UnipotentAutomorphism(alg, shear)
+    _same(gp._matmul(A.matrix, shear), oracles.matmul_dense(A.matrix, shear))
+    # exact polynomial maps: a chart at the sparse point, lattice reduction
+    # at a rational one with the integer zeros it is called with
+    chart = gp.second_to_first.table(alg)
+    _same(chart(x), oracles.polynomial_map_exact(chart, x))
+    lattice = gp._times_lattice.table(alg)
+    g = data.draw(hst.lists(hst.one_of(hst.just(Fraction(0)), small_fractions),
+                            min_size=m, max_size=m)) + [0] * m
+    _same(lattice(g, floors_at=m), oracles.polynomial_map_exact(lattice, g, floors_at=m))

@@ -233,6 +233,13 @@ _SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
     # an --out file that cannot be opened: a missing directory, and a directory
     ["catalog", "--out", "/nonexistent/dir/x"],
     ["catalog", "--out", "."],
+    # a parameter with a zero denominator, on one- and two-symbol systems
+    ["structure", "--system", "skew_torus_ergodic", "--params", "alpha=1/0"],
+    ["structure", "--system", "heisenberg3", "--params", "alpha=1/2", "--params", "beta=1/0"],
+    # a frequency entry above spectral.MAX_FREQUENCY
+    _SPECTRUM + ["--observable", "257:1", "--samples", "2000"],
+    # a parameter given twice
+    ["structure", "--system", "skew_torus_ergodic", "--params", "alpha=1", "--params", "alpha=2"],
 ])
 def test_bad_input_exits_1_with_error_line(capsys, argv):
     code, out, err = run(capsys, argv)

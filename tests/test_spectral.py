@@ -138,6 +138,15 @@ def test_observable_rejects_non_integer_frequency(entry):
         Observable.character(2, (entry, 0))
 
 
+def test_observable_refuses_frequency_above_cap():
+    for k in (sp.MAX_FREQUENCY + 1, -sp.MAX_FREQUENCY - 1, 10 ** 20):
+        with pytest.raises(ObservableError, match="frequency entry above 256"):
+            Observable(2, {(0, k): 1.0})
+    f = Observable.character(2, (-sp.MAX_FREQUENCY, 1))
+    with pytest.raises(ObservableError, match="frequency entry above 256"):
+        f * f
+
+
 def test_observable_accepts_integral_frequencies():
     f = Observable(3, {(2.0, np.int64(-1), Fraction(4, 2)): 1.0})
     assert f.terms == {(2, -1, 2): 1.0}
