@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import NilLieAlgebra
 from .group import UnipotentAutomorphism, identity_automorphism
-from .scalars import SymbolContext, substitute_rational
+from .scalars import SymbolContext, parse_rat, substitute_rational
 from .spectral import Observable
 from .structure import AffineNilsystem
 
@@ -237,8 +237,8 @@ def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
 def _rational(name: str, value) -> Fraction:
     """The rational a parameter value's text denotes: 0.1 is 1/10, not its binary value."""
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):  # "x", "1/0"
+        return parse_rat(str(value))
+    except ValueError:  # "x", "1/0"
         raise ValueError("parameter %r must be a rational or 'symbolic', got %r" % (name, value))
 
 

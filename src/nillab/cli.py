@@ -6,10 +6,10 @@ the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
 config.  useminorm computes every U^s row and its halved-window estimate from
 one orbit walk.  Both spectral commands walk fixed chunks of sample points, so
-memory is bounded by chunk size, not N: depth x chunk orbit values for
-useminorm, (2 K2 + 1) x chunk for spectrum.  NILLAB_THREADS must be a
-positive integer if set, but it is not yet used: every command runs in one
-thread.
+the orbit block is bounded by chunk size, not N: depth x chunk orbit values
+for useminorm, (2 K2 + 1) x chunk for spectrum.  The Sobol sample itself is
+still drawn whole, so memory does grow with N: about 70 bytes per point on
+the six-coordinate heisenberg4.
 
 Exit codes: 0 success, 1 validation error, 2 golden-suite failure.
 """
@@ -42,17 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NILLAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError("NILLAB_THREADS must be a positive integer, got %r" % raw)
-    return cap
-
-
 def _load_sys(config: dict) -> AffineNilsystem:
     name = config.get("system")
     if not name:
@@ -62,7 +51,7 @@ def _load_sys(config: dict) -> AffineNilsystem:
             raise ConfigError("system file %r not found" % name)
         try:
             system = load_system(name)
-        except (KeyError, TypeError, IndexError, AttributeError, json.JSONDecodeError) as exc:
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:  # JSONDecodeError too
             raise ConfigError("malformed system file %r: %s: %s" % (name, type(exc).__name__, exc))
         return substitute_params(system, config.get("params"))
     try:
@@ -295,9 +284,12 @@ def _config_value(flag: argparse.Action, value):
     listed = flag.nargs == "+" or isinstance(flag, argparse._AppendAction)
     kind = flag.type or str
     items = value if listed and isinstance(value, list) else [value]
-    if isinstance(value, list) != listed or any(type(v) not in (kind, str) for v in items):
+    nonempty = flag.nargs == "+"  # as on the command line, where the flag needs a value
+    need = "a nonempty list of " if nonempty else "a list of " if listed else ""
+    if (isinstance(value, list) != listed or any(type(v) not in (kind, str) for v in items)
+            or nonempty and not items):
         raise ConfigError("config key %r must be %s%s, got %s" % (
-            flag.dest, "a list of " if listed else "", kind.__name__, json.dumps(value)))
+            flag.dest, need, kind.__name__, json.dumps(value)))
     try:
         items = [kind(v) for v in items]
     except ValueError:
@@ -348,7 +340,6 @@ def _emit(text: str, out_path: str | None) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _thread_cap()
         config = _config_from_args(args)
         if args.command == "verify":
             text, code = cmd_verify(config)

@@ -35,7 +35,11 @@ def rat_str(q: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational ``s`` denotes; ValueError for text that is none, "1/0" included."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("rational %r has a zero denominator" % (s,)) from None
 
 
 class SymbolContext:
@@ -256,7 +260,10 @@ class ExtScalar:
     def from_records(context: SymbolContext, recs: list[dict]) -> "ExtScalar":
         terms = {}
         for r in recs:
-            expo = tuple(int(e) for e in r["monomial"])
+            expo = tuple(r["monomial"])
+            if any(type(e) is not int or e < 0 for e in expo):
+                raise ValueError("monomial exponents must be nonnegative integers, got %r"
+                                 % (r["monomial"],))
             if len(expo) != context.nsymbols:
                 raise ValueError("monomial arity %d != %d symbols" % (len(expo), context.nsymbols))
             terms[expo] = terms.get(expo, Fraction(0)) + parse_rat(r["coeff"])

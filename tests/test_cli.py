@@ -162,6 +162,9 @@ def test_config_key_naming_no_flag_exits_1(capsys, tmp_path):
     ("structure", {"system": "rot_torus", "params": 5}),
     ("structure", {"system": "rot_torus", "params": {"alpha": [1]}}),
     ("structure", {"system": "rot_torus", "params": {"alpha": True}}),
+    # --levels with no value is refused, so an empty list is too
+    ("useminorm", {"system": "skew_torus_nonergodic", "observable": ["0,1:1"],
+                   "samples": 2048, "seed": 3, "levels": []}),
 ])
 def test_wrongly_typed_config_exits_1(capsys, tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
@@ -248,16 +251,6 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("threads", ["0", "-2", "two"])
-def test_nonpositive_thread_cap_exits_1_with_error_line(capsys, monkeypatch, threads):
-    monkeypatch.setenv("NILLAB_THREADS", threads)
-    code, out, err = run(capsys, ["catalog"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: NILLAB_THREADS must be a positive integer")
-    assert err.count("\n") == 1
-
-
 def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch):
     """One report builds two quotients (the discrete factor and the ergodicity
     torus) and takes four rational hulls (J, the Leibman component, its lcs
@@ -286,17 +279,36 @@ def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch
     assert calls == {"quotient_system": 2, "rational_hull": 4}
 
 
-def _system_without_automorphism():
+def _heisenberg3_file(*path, value=None):
+    """heisenberg3's system-file data with the entry at ``path`` set to
+    ``value``, or deleted when ``value`` is None."""
     from nillab.catalog import catalog_build
     from nillab.serialize import system_to_dict
 
     data = system_to_dict(catalog_build("heisenberg3"))
-    del data["automorphism"]
+    *outer, last = path
+    entry = data
+    for key in outer:
+        entry = entry[key]
+    if value is None:
+        del entry[last]
+    else:
+        entry[last] = value
     return data
 
 
-@pytest.mark.parametrize("content", [_system_without_automorphism(), [1, 2]],
-                         ids=["no_automorphism", "json_list"])
+@pytest.mark.parametrize("content", [
+    _heisenberg3_file("automorphism"),
+    [1, 2],
+    # a zero denominator in each kind of rational entry
+    _heisenberg3_file("automorphism", 0, 0, value="1/0"),
+    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 1, value="1/0"),
+    _heisenberg3_file("translation", 0, 0, "coeff", value="1/0"),
+    # translation coordinates are polynomials: exponents are nonnegative integers
+    _heisenberg3_file("translation", 0, 0, "monomial", value=[1.5, 0]),
+    _heisenberg3_file("translation", 0, 0, "monomial", value=[-1, 0]),
+], ids=["no_automorphism", "json_list", "automorphism_1/0", "bracket_1/0",
+        "translation_1/0", "fractional_exponent", "negative_exponent"])
 def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))

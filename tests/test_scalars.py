@@ -33,6 +33,12 @@ def test_rat_str_round_trip():
         assert parse_rat(rat_str(q)) == q
 
 
+@pytest.mark.parametrize("monomial", [[1.5, 0], [-1, 0], [True, 0], ["1", 0]])
+def test_records_refuse_non_polynomial_exponents(monomial):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        ExtScalar.from_records(CTX, [{"monomial": monomial, "coeff": "1"}])
+
+
 def test_symbol_arithmetic():
     a, b = CTX.symbols()
     x = (a + b) * (a - b)
