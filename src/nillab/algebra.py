@@ -99,6 +99,10 @@ class NilLieAlgebra:
             if not (0 <= i < j < m):
                 raise AlgebraValidationError("bracket pair out of order: %r" % ((i, j),))
             for k in cs:
+                if k >= m:
+                    raise AlgebraValidationError(
+                        "[xi_%d, xi_%d] has component on xi_%d, beyond dimension %d" % (i, j, k, m)
+                    )
                 if k <= max(i, j):
                     raise AlgebraValidationError(
                         "not Mal'cev-adapted: [xi_%d, xi_%d] has component on xi_%d" % (i, j, k)

@@ -5,11 +5,9 @@ CSV + spectral report), useminorm (uniformity seminorm CSV), verify (replay
 the built-in golden suite), catalog (list built-in systems).  Every spectral
 command requires a seed and produces byte-identical output for a fixed
 config.  useminorm computes every U^s row and its halved-window estimate from
-one orbit walk.  Both spectral commands walk fixed chunks of sample points, so
-the orbit block is bounded by chunk size, not N: depth x chunk orbit values
-for useminorm, (2 K2 + 1) x chunk for spectrum.  The Sobol sample itself is
-still drawn whole, so memory does grow with N: about 70 bytes per point on
-the six-coordinate heisenberg4.
+one orbit walk.  Both spectral commands draw and walk fixed chunks of sample
+points, so memory is bounded by chunk size, not N: depth x chunk orbit values
+for useminorm, (2 K2 + 1) x chunk for spectrum.
 
 Exit codes: 0 success, 1 validation error, 2 golden-suite failure.
 """

@@ -444,6 +444,20 @@ def haar_sample(m: int, count: int, seed: int | None) -> np.ndarray:
     ``qmc.Sobol(d=m, scramble=seed is not None, seed=seed)``.  Haar measure on
     the nilmanifold is Lebesgue measure in the second-kind coordinate cube.
     """
+    return next(haar_chunks(m, count, seed, 1 << max(count - 1, 0).bit_length())).T
+
+
+def haar_chunks(m: int, count: int, seed: int | None, size: int):
+    """The points of :func:`haar_sample`, transposed, in blocks of ``size``
+    columns (a power of two), each drawn when it is reached.
+
+    Only the first block is built, by Gray-code doubling.  For j < size the
+    Gray code of lo + j is that of lo xor that of j, so block lo..lo+size-1
+    is the first block xor the direction numbers v_k over the bits k of
+    lo ^ (lo >> 1).
+    """
+    if size < 1 or size & (size - 1):
+        raise ValueError("chunk size must be a power of two, got %d" % size)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > 1 << SOBOL_BITS:
@@ -466,13 +480,18 @@ def haar_sample(m: int, count: int, seed: int | None) -> np.ndarray:
         scrambled = (digits @ ltm.transpose(0, 2, 1)) & 1
         v = (scrambled << _DIGIT_SHIFTS).sum(axis=2, dtype=np.uint32)
     # Gray-code order by doubling: point 2^k + j is point 2^k - 1 - j xor v_k
-    q = np.empty((m, count), dtype=np.uint32)
+    first = min(size, count)
+    q = np.empty((m, first), dtype=np.uint32)
     q[:, 0] = shift
-    for k in range((count - 1).bit_length()):
+    for k in range((first - 1).bit_length()):
         lo = 1 << k
-        n = min(lo, count - lo)
+        n = min(lo, first - lo)
         np.bitwise_xor(q[:, lo - n:lo][:, ::-1], v[:, k:k + 1], out=q[:, lo:lo + n])
-    return np.multiply(q, 2.0 ** -SOBOL_BITS, dtype=np.float64).T
+    for lo in range(0, count, size):
+        gray = lo ^ (lo >> 1)
+        key = np.bitwise_xor.reduce(v[:, [k for k in range(SOBOL_BITS) if gray >> k & 1]], axis=1)
+        block = q[:, :count - lo] ^ key[:, None] if lo else q
+        yield np.multiply(block, 2.0 ** -SOBOL_BITS, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -232,17 +232,17 @@ class ExtScalar:
 
     # -- numerics -----------------------------------------------------
 
-    def evaluate(self, assignment: Mapping[str, float]) -> float:
+    def evaluate(self, values: Mapping[str, float]) -> float:
         """Evaluate at a numeric assignment of every symbol."""
-        vals = []
+        point = []
         for name in self.context.names:
-            if name not in assignment:
+            if name not in values:
                 raise UnboundSymbolError("unbound symbol %r" % name)
-            vals.append(float(assignment[name]))
+            point.append(float(values[name]))
         out = 0.0
         for expo, c in self.terms.items():
             term = float(c)
-            for v, e in zip(vals, expo):
+            for v, e in zip(point, expo):
                 if e:
                     term *= v**e
             out += term
@@ -305,9 +305,9 @@ def rational_slices(v, context: SymbolContext | None = None) -> list[list[Fracti
     return out
 
 
-def evaluate_scalar(x, assignment: Mapping[str, float]) -> float:
+def evaluate_scalar(x, values: Mapping[str, float]) -> float:
     if isinstance(x, ExtScalar):
-        return x.evaluate(assignment)
+        return x.evaluate(values)
     return float(x)
 
 
@@ -318,7 +318,7 @@ def floor_scalar(x) -> int:
     return math.floor(x)
 
 
-def substitute_rational(x, assignment: Mapping[str, Fraction]):
+def substitute_rational(x, values: Mapping[str, Fraction]):
     """Exact substitution of rational values for a subset of the symbols.
 
     Returns a Fraction when no monomial keeps a symbol, otherwise an
@@ -332,10 +332,10 @@ def substitute_rational(x, assignment: Mapping[str, Fraction]):
         coeff = c
         new_expo = []
         for name, e in zip(ctx.names, expo):
-            if name in assignment:
-                coeff *= Fraction(assignment[name]) ** e
+            if name in values:
+                coeff *= Fraction(values[name]) ** e
             else:
                 new_expo.append(e)
         key = tuple(new_expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return _value(SymbolContext(n for n in ctx.names if n not in assignment), terms)
+    return _value(SymbolContext(n for n in ctx.names if n not in values), terms)

@@ -26,13 +26,20 @@ def algebra_to_dict(alg: NilLieAlgebra) -> dict:
     return {"dim": alg.dim, "step": alg.step, "brackets": brackets}
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer: a bool, float or string is refused, not truncated."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 def algebra_from_dict(data: dict) -> NilLieAlgebra:
     brackets = {}
     for rec in data.get("brackets", []):
-        brackets[(int(rec["i"]), int(rec["j"]))] = {
-            int(k): parse_rat(c) for k, c in rec["coeffs"]
-        }
-    return NilLieAlgebra(int(data["dim"]), int(data["step"]), brackets)
+        i, j = _integer(rec["i"], "bracket index i"), _integer(rec["j"], "bracket index j")
+        brackets[(i, j)] = {_integer(k, "coefficient index k"): parse_rat(c)
+                            for k, c in rec["coeffs"]}
+    return NilLieAlgebra(_integer(data["dim"], "dim"), _integer(data["step"], "step"), brackets)
 
 
 def _coord_records(ctx: SymbolContext, coords: list) -> list:
@@ -68,7 +75,10 @@ def system_to_dict(sys: AffineNilsystem) -> dict:
 
 def system_from_dict(data: dict) -> AffineNilsystem:
     alg = algebra_from_dict(data["algebra"])
-    ctx = SymbolContext(tuple(data.get("symbols", [])))
+    symbols = data.get("symbols", [])
+    if type(symbols) is not list or any(type(n) is not str for n in symbols):
+        raise ValueError("symbols must be a list of strings, got %r" % (symbols,))
+    ctx = SymbolContext(symbols)
     A = UnipotentAutomorphism(
         alg, [[parse_rat(x) for x in row] for row in data["automorphism"]]
     )

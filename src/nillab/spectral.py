@@ -186,7 +186,13 @@ class Observable:
     def __call__(self, pts: list) -> np.ndarray:
         return evaluate_observables([self], pts)[0]
 
+    def _same_dim(self, other: "Observable") -> None:
+        if other.dim != self.dim:
+            raise ObservableError("observables on %d and %d coordinates do not combine"
+                                  % (self.dim, other.dim))
+
     def __add__(self, other: "Observable") -> "Observable":
+        self._same_dim(other)
         merged = dict(self.terms)
         for k, a in other.terms.items():
             merged[k] = merged.get(k, 0.0) + a
@@ -194,6 +200,7 @@ class Observable:
 
     def __mul__(self, other):
         if isinstance(other, Observable):
+            self._same_dim(other)
             prod: dict[tuple, complex] = {}
             for k1, a1 in self.terms.items():
                 for k2, a2 in other.terms.items():
@@ -328,9 +335,10 @@ def _orbit(step, pts, reach: int):
         yield pts
 
 
-def _chunks(sys: AffineNilsystem, N: int, seed, assignment, size: int, lags):
+def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
     """The numeric system and the N sample points in chunks of ``size`` (lists
-    of coordinate slices), after checking N and then each walk length in ``lags``."""
+    of coordinate arrays, each chunk drawn when reached), after checking N and
+    then each walk length in ``lags``."""
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
     if N > 1 << gp.SOBOL_BITS:
@@ -340,13 +348,11 @@ def _chunks(sys: AffineNilsystem, N: int, seed, assignment, size: int, lags):
             raise ValueError("lag must be nonnegative, got %d" % lag)
         if lag > MAX_LAG:
             raise LagBudgetError("lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG))
-    num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
-    return num, ([x[lo : lo + size] for x in pts] for lo in range(0, N, size))
+    return sys.numeric(), map(list, gp.haar_chunks(sys.algebra.dim, N, seed, size))
 
 
-def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed,
-                  assignment) -> list[np.ndarray]:
+def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
+                  seed) -> list[np.ndarray]:
     """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, one per observable.
 
     Haar measure is T2-invariant and T1 T2 = T2 T1, so with y = T2^K2 z,
@@ -360,7 +366,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     K2 = 0.  Observables with equal terms are evaluated and contracted once,
     and each of them gets that box; callables are never merged.
     """
-    num, chunks = _chunks(sys, N, seed, assignment, CORRELATION_CHUNK, (K1, K2))
+    num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
     for q, f in enumerate(fs):
         key = (f.dim, tuple(f.terms.items())) if isinstance(f, Observable) else q
@@ -396,22 +402,22 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int, seed
     return [_hermitian(half[p]).ravel() for p in where]
 
 
-def autocorrelation(sys: AffineNilsystem, f, lag_range: int, N: int, seed,
-                    assignment=None) -> AutocorrelationSeries:
+def autocorrelation(sys: AffineNilsystem, f, lag_range: int, N: int,
+                    seed) -> AutocorrelationSeries:
     """c(n) ~= int conj(f) . f o T^n dmu for |n| <= lag_range, one orbit pass."""
-    return autocorrelation_many(sys, [f], lag_range, N, seed, assignment)[0]
+    return autocorrelation_many(sys, [f], lag_range, N, seed)[0]
 
 
 def autocorrelation_many(sys: AffineNilsystem, fs: list, lag_range: int, N: int,
-                         seed, assignment=None) -> list[AutocorrelationSeries]:
+                         seed) -> list[AutocorrelationSeries]:
     """Autocorrelation series of several observables sharing a single orbit run."""
-    boxes = _correlations(sys, fs, lag_range, 0, N, seed, assignment)
+    boxes = _correlations(sys, fs, lag_range, 0, N, seed)
     lags = list(range(-lag_range, lag_range + 1))
     return [AutocorrelationSeries(lags, v, N, seed) for v in boxes]
 
 
 def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int,
-                          seed, assignment=None) -> AutocorrelationSeries:
+                          seed) -> AutocorrelationSeries:
     """c(n1, n2) ~= int conj(f) . f o T1^n1 T2^n2 dmu for the Z^2-action of two
     commuting generators, |n_i| <= grid[i].
 
@@ -422,7 +428,7 @@ def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int
     if sys.second is None:
         raise ValueError("joint autocorrelation needs a system with two generators")
     K1, K2 = grid
-    (values,) = _correlations(sys, [f], K1, K2, N, seed, assignment)
+    (values,) = _correlations(sys, [f], K1, K2, N, seed)
     lags = list(product(range(-K1, K1 + 1), range(-K2, K2 + 1)))
     return AutocorrelationSeries(lags, values, N, seed, generators=2)
 
@@ -646,7 +652,7 @@ def _seminorm_levels(s: int, H_levels) -> tuple[int, ...]:
 
 
 def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N: int,
-                   seed, assignment) -> list[SeminormEstimate]:
+                   seed) -> list[SeminormEstimate]:
     """The U^s estimate on the levels H_levels[:s] for each s in ``orders``, one walk.
 
     Each chunk of sample points is walked and contracted in turn, so only a
@@ -656,7 +662,7 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     windows = [w for s in orders
                for w in (H_levels[:s], tuple(max(1, h // 2) for h in H_levels[:s]))]
     depth = 1 + sum(H_levels)
-    num, chunks = _chunks(sys, N, seed, assignment, SEMINORM_CHUNK, (depth - 1,))
+    num, chunks = _chunks(sys, N, seed, SEMINORM_CHUNK, (depth - 1,))
     sums = [0j] * len(windows)
     for chunk in chunks:
         g = np.empty((depth, len(chunk[0])), dtype=complex)
@@ -673,19 +679,19 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
             for s, value, half in zip(orders, est[::2], est[1::2])]
 
 
-def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int, seed,
-                        assignment=None) -> SeminormEstimate:
+def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int,
+                        seed) -> SeminormEstimate:
     """Finite-scale Gowers–Host–Kra seminorm U^s estimate with a stability delta.
 
     The base case is the plain integral; each level averages the previous
     seminorm power of T^h f . conj(f) over h = 1..H.
     """
     H_levels = _seminorm_levels(s, H_levels)
-    return _seminorm_rows(sys, f, [s], H_levels, N, seed, assignment)[0]
+    return _seminorm_rows(sys, f, [s], H_levels, N, seed)[0]
 
 
-def seminorm_ladder(sys: AffineNilsystem, f, H_levels, N: int, seed,
-                    assignment=None) -> list[SeminormEstimate]:
+def seminorm_ladder(sys: AffineNilsystem, f, H_levels, N: int,
+                    seed) -> list[SeminormEstimate]:
     """U^s estimates for s = 1..len(H_levels), row s on H_levels[:s], from one orbit walk.
 
     Row s equals ``uniformity_seminorm(sys, f, s, H_levels[:s], N, seed)``.
@@ -695,7 +701,7 @@ def seminorm_ladder(sys: AffineNilsystem, f, H_levels, N: int, seed,
     except TypeError:  # unlike uniformity_seminorm, no s to repeat a scalar level for
         raise ValueError("a ladder needs one level per row, got %r" % (H_levels,)) from None
     H_levels = _seminorm_levels(s, H_levels)
-    return _seminorm_rows(sys, f, range(1, s + 1), H_levels, N, seed, assignment)
+    return _seminorm_rows(sys, f, range(1, s + 1), H_levels, N, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +765,7 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
 
 
 def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdeal,
-                            chi_frequency, N: int = 256, seed=0,
-                            assignment=None) -> bool:
+                            chi_frequency, N: int = 256, seed=0) -> bool:
     """True when f(z x) = chi(z) f(x) for central z, i.e. f lies in V_chi."""
     alg = sys.algebra
     if central_ideal.dim and not central_ideal.is_rational:
@@ -772,8 +777,7 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
         raise ValueError("character frequency has wrong length")
     tol = CALIBRATION["character_tolerance"]
     dirs = _primitive_ideal_basis(central_ideal)
-    num = sys.numeric(assignment)
-    pts = num.sample_points(N, seed)
+    pts = sys.numeric().sample_points(N, seed)
     rng = np.random.default_rng(seed if seed is not None else 0)
     us = rng.random((8, len(dirs))) if len(dirs) else np.zeros((1, 0))
     f0 = f(pts)
@@ -785,8 +789,7 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
     return True
 
 
-def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
-                      assignment=None) -> list[float]:
+def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range) -> list[float]:
     """Angles t_j(y) of the fiberwise eigenvalues chi_j(g^{-1} tau g).
 
     Requires the Leibman group's identity component to be abelian, so every
@@ -799,7 +802,7 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range,
     if not _commutes(alg, hH.basis, hH.basis):
         raise ValueError("Leibman component is not abelian; fibers are not rotations")
     g = [float(c) for c in base_point]
-    w = gp.multiply(alg, gp.inverse(alg, g), sys.numeric(assignment).apply(g))
+    w = gp.multiply(alg, gp.inverse(alg, g), sys.numeric().apply(g))
     logw = gp.second_to_first(alg, w)
     # coordinates of log(w) in the primitive basis of the fiber algebra
     dirs = _primitive_ideal_basis(hH)

@@ -10,6 +10,7 @@ component, the factor tower, quotient systems, and an exact ergodicity test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,6 +54,11 @@ class AffineNilsystem:
         self.second = second
         self.name = name
         self.default_assignment = dict(default_assignment or {})
+        for n, v in self.default_assignment.items():
+            if n not in self.context.names or not math.isfinite(v):
+                raise SystemValidationError(
+                    "default assignment %s=%r must name a symbol of the system and be finite"
+                    % (n, v))
         if len(self.g_tau) != alg.dim:
             raise SystemValidationError("translation part has wrong dimension")
         if not A.is_rational or not A.preserves_lattice():
@@ -133,31 +139,29 @@ class AffineNilsystem:
 
     # -- numeric dynamics ---------------------------------------------
 
-    def numeric(self, assignment: dict[str, float] | None = None) -> "NumericSystem":
-        merged = dict(self.default_assignment)
-        merged.update(assignment or {})
-        return NumericSystem(self, merged)
+    def numeric(self) -> "NumericSystem":
+        return NumericSystem(self)
 
 
 class NumericSystem:
     """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
 
     Each generator x -> g * A(x) is held as an affine pair (A, g), g evaluated
-    at the assignment and A None when it is the identity, whose table is then
-    skipped.  Only forward steps exist: the estimators walk every orbit
-    forward.
+    at the system's default assignment and A None when it is the identity,
+    whose table is then skipped.  Only forward steps exist: the estimators
+    walk every orbit forward.
     """
 
-    def __init__(self, sys: AffineNilsystem, assignment: dict[str, float]):
+    def __init__(self, sys: AffineNilsystem):
         self.sys = sys
         self.alg = sys.algebra
-        self.assignment = dict(assignment)
         self._forward = self._pair(sys.A, sys.g_tau)
         if sys.second is not None:
             self._forward2 = self._pair(*sys.second)
 
     def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
-        return None if A.is_identity else A, [evaluate_scalar(t, self.assignment) for t in g]
+        values = self.sys.default_assignment
+        return None if A.is_identity else A, [evaluate_scalar(t, values) for t in g]
 
     def _affine(self, pts: list, pair: tuple) -> list:
         A, g = pair

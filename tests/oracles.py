@@ -168,7 +168,7 @@ def seminorm_power_full_width(g, s, H_levels):
     return acc / (low * high)
 
 
-def correlations(sys, fs, K1, K2, N, seed, assignment=None):
+def correlations(sys, fs, K1, K2, N, seed):
     """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, by the whole-batch walk.
 
     All N sample points z walk at once: 2 K2 steps along T2, keeping every
@@ -180,7 +180,7 @@ def correlations(sys, fs, K1, K2, N, seed, assignment=None):
     def hermitian(half):
         return np.concatenate([np.conj(np.flip(half[1:])), half])
 
-    num = sys.numeric(assignment)
+    num = sys.numeric()
     z = num.sample_points(N, seed)
     kept = np.empty((len(fs), 2 * K2 + 1, N), dtype=complex)
     for j in range(2 * K2 + 1):

@@ -41,6 +41,12 @@ def test_validation_rejects_non_adapted():
         NilLieAlgebra(3, 2, {(0, 1): {1: Fraction(1)}})
 
 
+def test_validation_rejects_component_beyond_dimension():
+    # [x1, x2] = x4 in a 3-dimensional algebra: no basis vector x4 exists
+    with pytest.raises(AlgebraValidationError, match="beyond dimension 3"):
+        NilLieAlgebra(3, 2, {(0, 1): {3: Fraction(1)}})
+
+
 def test_validation_rejects_bad_jacobi():
     # [x1,x2]=x4 and [x3,x4]=x5 leave [[x1,x2],x3] unmatched in the Jacobi sum
     with pytest.raises(AlgebraValidationError):

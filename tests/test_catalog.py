@@ -146,7 +146,7 @@ def test_default_assignment_covers_symbols(name):
     entry = catalog_entry(name)
     sys = entry.build()
     assert set(sys.default_assignment) == set(entry.symbols)
-    # numeric() without an explicit assignment must succeed
+    # numeric() evaluates every translation at the default assignment
     num = sys.numeric()
     pts = num.sample_points(4, seed=0)
     num.step(pts)

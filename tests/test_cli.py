@@ -307,8 +307,18 @@ def _heisenberg3_file(*path, value=None):
     # translation coordinates are polynomials: exponents are nonnegative integers
     _heisenberg3_file("translation", 0, 0, "monomial", value=[1.5, 0]),
     _heisenberg3_file("translation", 0, 0, "monomial", value=[-1, 0]),
+    # integer fields are JSON integers, never truncated or parsed from text
+    _heisenberg3_file("algebra", "dim", value=3.7),
+    _heisenberg3_file("algebra", "dim", value="3"),
+    _heisenberg3_file("algebra", "step", value=2.5),
+    _heisenberg3_file("algebra", "brackets", 0, "i", value=0.5),
+    _heisenberg3_file("algebra", "brackets", 0, "j", value=1.9),
+    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 0, value=2.2),
+    # a string is not a list of symbol names, one per character
+    _heisenberg3_file("symbols", value="ab"),
 ], ids=["no_automorphism", "json_list", "automorphism_1/0", "bracket_1/0",
-        "translation_1/0", "fractional_exponent", "negative_exponent"])
+        "translation_1/0", "fractional_exponent", "negative_exponent", "float_dim",
+        "string_dim", "float_step", "float_i", "float_j", "float_k", "string_symbols"])
 def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))

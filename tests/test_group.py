@@ -463,6 +463,18 @@ def test_haar_sample_is_bit_equal_to_scipy_sobol(m, count, seed):
     assert np.array_equal(gp.haar_sample(m, count, seed), _scipy_sobol(m, count, seed))
 
 
+@pytest.mark.parametrize("m, count, size, seed", [
+    (6, 10 ** 5, 16384, 7), (2, 1 << 14, 4096, 7), (6, 10 ** 5, 16384, None),
+])
+def test_haar_chunks_are_slices_of_the_whole_draw(m, count, size, seed):
+    whole = gp.haar_sample(m, count, seed).T
+    chunks = list(gp.haar_chunks(m, count, seed, size))
+    assert len(chunks) == -(-count // size)
+    for lo, chunk in zip(range(0, count, size), chunks):
+        assert chunk.dtype == whole.dtype
+        assert np.array_equal(chunk, whole[:, lo:lo + size])
+
+
 def test_haar_sample_rejects_out_of_range_draws():
     with pytest.raises(ValueError):
         gp.haar_sample(2, 0, seed=1)

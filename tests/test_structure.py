@@ -276,7 +276,7 @@ def test_orbit_is_bitwise_the_plain_table_loop(name):
     if sys.second is not None:
         gens.append((num.step2, *sys.second))
     for step, A, g in gens:
-        g = [evaluate_scalar(t, num.assignment) for t in g]
+        g = [evaluate_scalar(t, sys.default_assignment) for t in g]
         pts = want = num.sample_points(512, 11)
         for _ in range(128):
             pts = step(pts)
@@ -285,6 +285,20 @@ def test_orbit_is_bitwise_the_plain_table_loop(name):
             want, _ = oracles.polynomial_map_float(
                 gp._times_lattice.table(alg), x + [0] * alg.dim, floors_at=alg.dim)
             assert _bitwise_equal(pts, want)
+
+
+@pytest.mark.parametrize("defaults", [
+    {"alfa": 0.25},  # names no symbol: the estimators would run at the default alpha
+    {"alpha": float("nan")},
+    {"alpha": float("inf")},
+])
+def test_default_assignment_names_symbols_and_is_finite(defaults):
+    sys = build("rot_torus")
+    st.AffineNilsystem(sys.algebra, sys.A, sys.g_tau, context=sys.context,
+                       default_assignment={"alpha": 0.25})
+    with pytest.raises(st.SystemValidationError, match="default assignment"):
+        st.AffineNilsystem(sys.algebra, sys.A, sys.g_tau, context=sys.context,
+                           default_assignment=defaults)
 
 
 def test_second_generator_must_commute():
