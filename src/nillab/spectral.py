@@ -558,13 +558,15 @@ class SeminormEstimate:
         return self.value
 
 
-def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex:
+def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...], halved=False):
     """||f||_{U^s}^{2^s} summed over one chunk's points: g[t, i] = f(T^t x_i).
 
     Finite-H surrogate: each level averages over shifts h = 1..H; the h = 0
     term of the limit formula contributes nothing as H grows and would
     dominate the finite-H bias, so it is dropped.  The s = 1 level is the
-    closed form sum_i (sum_h g[h, i]) conj(g[0, i]) / H.
+    closed form sum_i (sum_h g[h, i]) conj(g[0, i]) / H.  With ``halved``,
+    the pair (that sum, the sum at the halved window, where each level H is
+    max(1, H // 2)).
 
     The s = 2 level averages F(h, t) = g_0 conj(g_h) conj(g_t) g_{h+t} over
     h <= H2, t <= H1 (g_j = g[j, i], (H1, H2) = H_levels[:2]), and F is
@@ -574,8 +576,7 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
     sum_{t <= n} F(a, t); it counts twice while a <= min(H1, H2) (both orders
     lie in the box) and once beyond; the diagonal F(a, a) is one sum.  That
     is about min(H1, H2) (2 max(H1, H2) - min(H1, H2)) / 2 row products in
-    place of H2 (H1 + 1), 2143 in place of 4160 at H1 = H2 = 64, and s = 3
-    gets the saving through its s = 2 calls.
+    place of H2 (H1 + 1), 2143 in place of 4160 at H1 = H2 = 64.
 
     The s = 2 products are formed on column blocks of at most BLOCK points,
     cut in equal widths so that no block is one column wide (NumPy would sum
@@ -592,10 +593,29 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
     is not commutative bit for bit, and that form multiplies conj(g_a)^2 by
     g_2a, as here, only when NumPy reuses the squares' temporary in place
     (at 256 KiB and more, so at every chunk of 4096 points with min(H) >= 4).
+
+    At equal levels H the s = 2 and s = 3 sums run over the cube [1, H]^s
+    grouped by the largest shift a, in increasing a, so the halved window's
+    sum is the running sum at a = max(1, H // 2): the same pass gives it, bit
+    for bit as a call at the halved levels.  At s = 2 those are the pair terms
+    up to a and the diagonal summed over its first rows (the last row holds
+    that partial diagonal).  At s = 3 the term G(h1, h2, h3) is symmetric
+    under all six permutations of its shifts.  With p = g[a : 3a + 1]
+    conj(g[: 2a + 1]) and F_p as above, a triple with largest shift a has one,
+    two or all three shifts equal to a, so the group sums to
+    3 (a - 1)^2 A(a) + 3 B(a) + C(a): A(a) is the s = 2 level at (a - 1, a - 1)
+    on p, B(a) = sum_{t < a} F_p(t, a) one s = 1 call and C(a) = F_p(a, a).
+    That is about H^3 / 6 row products in place of H^3 / 2.  Unequal levels
+    run the s = 3 level as one s = 2 level per shift of its third level, and
+    their halved window as a second call.
     """
+    if halved and not (s >= 2 and len(set(H_levels[:s])) == 1):
+        return (_seminorm_power(g, s, H_levels),
+                _seminorm_power(g, s, tuple(max(1, h // 2) for h in H_levels)))
     if s == 0:
         return complex(g[0].sum())
     H = H_levels[s - 1]
+    half = max(1, H // 2)
     if s == 1:
         return complex(np.dot(g[1 : H + 1].sum(0), np.conj(g[0]))) / H
     if s == 2:
@@ -604,7 +624,7 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
         count = -(-width // BLOCK)
         edges = [width * k // count for k in range(count + 1)]
         size = -(-width // count)
-        rows = np.empty((high + 1, width), dtype=complex)
+        rows = np.empty((high + 1 + halved, width), dtype=complex)
         block = np.empty((span, size), dtype=complex)
         conj = np.empty((low, size), dtype=complex)
         prod = np.empty((low, size), dtype=complex)
@@ -615,19 +635,38 @@ def _seminorm_power(g: np.ndarray, s: int, H_levels: tuple[int, ...]) -> complex
             np.multiply(cb, cb, out=pb)
             np.multiply(pb, gb[2 : 2 * low + 1 : 2], out=pb)
             np.add.reduce(pb, axis=0, out=rows[1, lo:hi])
+            if halved:
+                np.add.reduce(pb[:half], axis=0, out=rows[-1, lo:hi])
             for a in range(2, high + 1):
                 n = min(a - 1, low)
                 p = np.multiply(gb[a + 1 : a + n + 1], cb[:n], out=pb[:n])
                 np.add.reduce(p, axis=0, out=rows[a, lo:hi])
         np.conjugate(g[0], out=rows[0])
         acc = _seminorm_power(rows[:2], 1, (1,))  # the diagonal: rows[1] . g_0
+        part = _seminorm_power(rows[[0, -1]], 1, (1,)) if halved else 0j
         term = np.empty(width, dtype=complex)
         for a in range(2, high + 1):
             n = min(a - 1, low)
             np.conjugate(np.multiply(g[a], rows[0], out=term), out=term)
-            pair = complex(np.dot(rows[a], term)) / n
-            acc += (2 if a <= low else 1) * n * pair
-        return acc / (low * high)
+            pair = (2 if a <= low else 1) * n * (complex(np.dot(rows[a], term)) / n)
+            acc += pair
+            if a <= half:
+                part += pair
+        return (acc / (H * H), part / (half * half)) if halved else acc / (low * high)
+    if H_levels[0] == H_levels[1] == H:  # s = 3 at equal levels, grouped by a
+        base = np.conj(g[: 2 * H + 1])
+        acc = part = 0j
+        for a in range(1, H + 1):
+            p = g[a : 3 * a + 1] * base[: 2 * a + 1]
+            q = p[a : 2 * a + 1] * np.conj(p[: a + 1])  # q_t = p_{a+t} conj(p_t)
+            n = a - 1
+            acc += complex(np.dot(q[a], np.conj(q[0])))  # C(a)
+            if n:
+                acc += 3 * n * n * _seminorm_power(p, 2, (n, n))  # 3 (a - 1)^2 A(a)
+                acc += 3 * n * _seminorm_power(q[:a], 1, (n,))  # 3 B(a)
+            if a == half:
+                part = acc
+        return (acc / H ** 3, part / half ** 3) if halved else acc / H ** 3
     depth = 1 + sum(H_levels[: s - 1])
     base = np.conj(g[:depth])
     acc = 0.0j
@@ -656,27 +695,30 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     """The U^s estimate on the levels H_levels[:s] for each s in ``orders``, one walk.
 
     Each chunk of sample points is walked and contracted in turn, so only a
-    depth x chunk block of orbit values is held.  A row and its halved-window
-    estimate read the same blocks, whichever rows share them.
+    depth x chunk block of orbit values is held.  Each row's estimate at
+    halved windows comes from the same :func:`_seminorm_power` call as the
+    row's own, read off its running sum where the levels are equal.
     """
-    windows = [w for s in orders
-               for w in (H_levels[:s], tuple(max(1, h // 2) for h in H_levels[:s]))]
     depth = 1 + sum(H_levels)
     num, chunks = _chunks(sys, N, seed, SEMINORM_CHUNK, (depth - 1,))
-    sums = [0j] * len(windows)
+    sums = [(0j, 0j)] * len(orders)
     for chunk in chunks:
         g = np.empty((depth, len(chunk[0])), dtype=complex)
         for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
             g[t] = f(cur)
-        for q, w in enumerate(windows):
-            sums[q] += _seminorm_power(g, len(w), w)
+        for q, s in enumerate(orders):
+            full, half = _seminorm_power(g, s, H_levels[:s], halved=True)
+            sums[q] = (sums[q][0] + full, sums[q][1] + half)
 
     def estimate(p: complex, s: int) -> float:
         return max(p.real, 0.0) ** (1.0 / 2 ** s) if s else abs(p)
 
-    est = [estimate(p / N, len(w)) for p, w in zip(sums, windows)]
-    return [SeminormEstimate(value, abs(value - half), s, H_levels[:s], N, seed)
-            for s, value, half in zip(orders, est[::2], est[1::2])]
+    rows = []
+    for s, (full, half) in zip(orders, sums):
+        value = estimate(full / N, s)
+        rows.append(SeminormEstimate(value, abs(value - estimate(half / N, s)),
+                                     s, H_levels[:s], N, seed))
+    return rows
 
 
 def uniformity_seminorm(sys: AffineNilsystem, f, s: int, H_levels, N: int,
@@ -772,7 +814,7 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
         raise ValueError("central ideal must be rational")
     if not _commutes(alg, central_ideal.basis, alg.basis()):
         raise ValueError("ideal is not central")
-    chi = tuple(int(k) for k in np.atleast_1d(chi_frequency))
+    chi = tuple(_integral(k, "character frequency") for k in np.atleast_1d(chi_frequency))
     if len(chi) != central_ideal.dim:
         raise ValueError("character frequency has wrong length")
     tol = CALIBRATION["character_tolerance"]
@@ -816,7 +858,7 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range) -> list[float]:
         coords = np.zeros(0)
     angles = []
     for j in j_range:
-        jv = np.atleast_1d(np.asarray(j, dtype=float))
+        jv = np.array([_integral(k, "character index") for k in np.atleast_1d(j)], dtype=float)
         if len(jv) != len(coords):
             raise ValueError("character index has wrong length")
         angles.append(float(np.dot(jv, coords) % 1.0))
@@ -844,7 +886,9 @@ def pushforward_histogram(p: dict, bins: int, N: int, seed) -> PushforwardHistog
     rejected: their gradient vanishes everywhere, so the pushforward of
     Lebesgue measure is a point mass and carries no density.
     """
-    expos = [tuple(int(e) for e in k) for k in p]
+    expos = [tuple(_integral(e, "exponent") for e in k) for k in p]
+    if any(e < 0 for k in expos for e in k):
+        raise ValueError("exponents must be nonnegative integers, got %r" % (list(p),))
     if not expos or not any(any(e) for e in expos):
         raise ValueError("constant polynomial has no absolutely continuous pushforward")
     d = len(expos[0])
@@ -852,9 +896,9 @@ def pushforward_histogram(p: dict, bins: int, N: int, seed) -> PushforwardHistog
         raise ValueError("inconsistent number of variables")
     pts = gp.haar_sample(d, N, seed)
     vals = np.zeros(N)
-    for k, c in p.items():
+    for k, c in zip(expos, p.values()):
         term = float(c) * np.ones(N)
-        for j, e in enumerate(tuple(int(x) for x in k)):
+        for j, e in enumerate(k):
             if e:
                 term = term * pts[:, j] ** e
         vals += term

@@ -467,14 +467,17 @@ def test_seminorm_of_constant_is_one():
 
 
 def test_seminorm_stability_delta_is_halved_level_difference():
-    sys = catalog_build("skew_torus_nonergodic")
-    f = Observable(2, {(0, 1): 1.0, (1, 1): 0.5})
-    levels = (9, 6, 3)
-    for s in (1, 2, 3):
-        est = uniformity_seminorm(sys, f, s, levels[:s], 1024, seed=7)
-        halved = tuple(max(1, h // 2) for h in levels[:s])
-        half = uniformity_seminorm(sys, f, s, halved, 1024, seed=7)
-        assert est.stability_delta == abs(est.value - half.value)
+    # equal levels read the halved window off the full window's pass; on
+    # heisenberg3 the estimate moves with the window, so a wrong prefix shows
+    for name, f, levels in [
+            ("skew_torus_nonergodic", Observable(2, {(0, 1): 1.0, (1, 1): 0.5}), (9, 6, 3)),
+            ("heisenberg3", Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0}), (8, 8, 8))]:
+        sys = catalog_build(name)
+        for s in (1, 2, 3):
+            est = uniformity_seminorm(sys, f, s, levels[:s], 1024, seed=7)
+            halved = tuple(max(1, h // 2) for h in levels[:s])
+            half = uniformity_seminorm(sys, f, s, halved, 1024, seed=7)
+            assert est.stability_delta == abs(est.value - half.value), (levels, s)
 
 
 def _orbit_matrix(sys, f, depth, N, seed):
@@ -548,17 +551,53 @@ def test_blocked_seminorm_kernel_matches_full_width_oracle(s, levels):
             assert abs(got - want) <= 1e-15 * abs(want), width
 
 
+def _unit_orbit(levels, width, seed):
+    """Orbit-like rows for the kernel: moduli off 1, phases within 0.1 turns."""
+    rng = np.random.default_rng(seed)
+    shape = (1 + sum(levels), width)
+    return rng.uniform(0.5, 1.5, shape) * np.exp(2j * np.pi * rng.uniform(-0.1, 0.1, shape))
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 16, 24])
+def test_grouped_u3_kernel_matches_oracles(H):
+    # equal s = 3 levels sum the cube grouped by its largest shift; the naive
+    # oracle sums every triple, the full-width oracle runs one s = 2 level per
+    # outer shift, as the kernel does for unequal levels
+    levels = (H, H, H)
+    for width in (1, _B - 1, _B, _B + 1, 3 * _B + 17):
+        G = _unit_orbit(levels, width, H + width)
+        got = sp._seminorm_power(G, 3, levels)
+        want = oracles.seminorm_power(G, 3, levels)
+        assert abs(got / width - want) <= 1e-13 * abs(want), width
+        want = oracles.seminorm_power_full_width(G, 3, levels)
+        assert abs(got - want) <= 1e-15 * abs(want), width
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("H", [64, 9, 3, 1])
+def test_shared_halved_window_equals_standalone_call(s, H):
+    # at equal levels the halved window is the running sum at a = H // 2 of
+    # the full window's pass, and equals a call at the halved levels bit for bit
+    levels, halved = (H,) * s, (max(1, H // 2),) * s
+    for width in (1, _B + 1, 3 * _B + 17):
+        G = _unit_orbit(levels, width, s + H + width)
+        full, half = sp._seminorm_power(G, s, levels, halved=True)
+        assert full == sp._seminorm_power(G, s, levels), width
+        assert half == sp._seminorm_power(G, s, halved), width
+
+
 def test_seminorm_ladder_rows_equal_standalone_estimates():
+    # equal levels take each halved window from the grouped sum's prefix
     sys = catalog_build("heisenberg3")
     f = Observable(3, {(0, 1, 0): 1.0, (0, 0, 1): 1.0})
-    levels = (7, 5, 3)
     N = sp.SEMINORM_CHUNK + 5  # a full chunk and a short one
-    rows = seminorm_ladder(sys, f, levels, N, seed=3)
-    assert [r.s for r in rows] == [1, 2, 3]
-    for s, row in enumerate(rows, 1):
-        alone = uniformity_seminorm(sys, f, s, levels[:s], N, seed=3)
-        assert (row.value, row.stability_delta, row.H_levels) == (
-            alone.value, alone.stability_delta, alone.H_levels)
+    for levels in [(7, 5, 3), (6, 6, 6), (8, 8)]:
+        rows = seminorm_ladder(sys, f, levels, N, seed=3)
+        assert [r.s for r in rows] == list(range(1, len(levels) + 1))
+        for s, row in enumerate(rows, 1):
+            alone = uniformity_seminorm(sys, f, s, levels[:s], N, seed=3)
+            assert (row.value, row.stability_delta, row.H_levels) == (
+                alone.value, alone.stability_delta, alone.H_levels)
 
 
 def test_seminorm_validation():
@@ -732,6 +771,17 @@ def test_vertical_character_detection():
         )
 
 
+@pytest.mark.parametrize("chi", [1.5, 1.9, (1.5,), np.float64(1.9), "1"])
+def test_vertical_character_rejects_non_integer_frequency(chi):
+    # int() would read 1.5 and 1.9 as the character chi = 1, which e_z lies in
+    sys = catalog_build("heisenberg3")
+    center = la.span(sys.algebra, [sys.algebra.basis_vector(2)])
+    e_z = Observable.character(3, (0, 0, 1))
+    with pytest.raises(ValueError, match="character frequency .* is not an integer"):
+        vertical_character_test(sys, e_z, center, chi)
+    assert vertical_character_test(sys, e_z, center, 1.0)
+
+
 def test_fiber_eigenvalues_rotation():
     sys = catalog_build("rot_torus")
     alpha = sys.default_assignment["alpha"]
@@ -753,6 +803,15 @@ def test_fiber_eigenvalues_ergodic_skew():
     alpha = sys.default_assignment["alpha"]
     angles = fiber_eigenvalues(sys, [0.3, 0.2], [(1, 0), (0, 1), (0, 2)])
     assert angles == pytest.approx([alpha, 0.3, 0.6])
+
+
+@pytest.mark.parametrize("j", [0.5, (0.5,), (1.5,), np.float64(2.5)])
+def test_fiber_eigenvalues_reject_non_integer_index(j):
+    # a half-integer index gave half of alpha's angle, which is no character
+    sys = catalog_build("rot_torus")
+    with pytest.raises(ValueError, match="character index .* is not an integer"):
+        fiber_eigenvalues(sys, [0.1], [j])
+    assert fiber_eigenvalues(sys, [0.1], [2.0]) == fiber_eigenvalues(sys, [0.1], [(2,)])
 
 
 def test_fiber_eigenvalues_need_abelian_fibers():
@@ -879,3 +938,17 @@ def test_pushforward_rejects_constant():
         pushforward_histogram({(0,): 0.5}, 32, 1 << 14, seed=0)
     with pytest.raises(ValueError):
         pushforward_histogram({(1, 0): 1.0, (1,): 1.0}, 32, 1 << 14, seed=0)
+
+
+@pytest.mark.parametrize("p", [{(1.7,): 1.0}, {(-1,): 1.0}, {(1, 0): 1.0, (0, -2): 1.0},
+                               {(np.float64(0.5), 1): 1.0}])
+def test_pushforward_rejects_non_polynomial_exponents(p):
+    # 1.7 was truncated to x^1 and -1 taken as the Laurent term 1/x
+    with pytest.raises(ValueError, match="exponent"):
+        pushforward_histogram(p, 32, 1 << 12, seed=0)
+
+
+def test_pushforward_accepts_integral_exponents():
+    want = pushforward_histogram({(2, 1): 1.0}, 32, 1 << 12, seed=0).counts
+    got = pushforward_histogram({(2.0, np.int64(1)): 1.0}, 32, 1 << 12, seed=0).counts
+    assert np.array_equal(got, want)
