@@ -34,12 +34,16 @@ def rat_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_rat(s: str) -> Fraction:
-    """The rational ``s`` denotes; ValueError for text that is none, "1/0" included."""
+def parse_rat(s: str, what: str = "rational") -> Fraction:
+    """The rational the text ``s`` denotes; ValueError, naming ``what``, for a
+    value that is not a string (a float is not exact) or text that is no
+    rational, "1/0" included."""
+    if type(s) is not str:
+        raise ValueError("%s must be a string such as \"p/q\", got %r" % (what, s))
     try:
         return Fraction(s)
     except ZeroDivisionError:
-        raise ValueError("rational %r has a zero denominator" % (s,)) from None
+        raise ValueError("%s %r has a zero denominator" % (what, s)) from None
 
 
 class SymbolContext:
@@ -266,7 +270,7 @@ class ExtScalar:
                                  % (r["monomial"],))
             if len(expo) != context.nsymbols:
                 raise ValueError("monomial arity %d != %d symbols" % (len(expo), context.nsymbols))
-            terms[expo] = terms.get(expo, Fraction(0)) + parse_rat(r["coeff"])
+            terms[expo] = terms.get(expo, Fraction(0)) + parse_rat(r["coeff"], "coefficient")
         return _value(context, terms)
 
 

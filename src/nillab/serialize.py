@@ -37,7 +37,7 @@ def algebra_from_dict(data: dict) -> NilLieAlgebra:
     brackets = {}
     for rec in data.get("brackets", []):
         i, j = _integer(rec["i"], "bracket index i"), _integer(rec["j"], "bracket index j")
-        brackets[(i, j)] = {_integer(k, "coefficient index k"): parse_rat(c)
+        brackets[(i, j)] = {_integer(k, "coefficient index k"): parse_rat(c, "bracket coefficient")
                             for k, c in rec["coeffs"]}
     return NilLieAlgebra(_integer(data["dim"], "dim"), _integer(data["step"], "step"), brackets)
 
@@ -52,6 +52,13 @@ def _coords_from_records(ctx: SymbolContext, recs: list) -> list:
 
 def _matrix_strs(A: UnipotentAutomorphism) -> list[list[str]]:
     return [[rat_str(Fraction(x)) for x in row] for row in A.matrix]
+
+
+def _matrix(rows, what: str) -> list[list[Fraction]]:
+    """The rational matrix of a list of rows, each a list of "p/q" strings."""
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError("%s must be a list of rows, each a list, got %r" % (what, rows))
+    return [[parse_rat(x, what + " entry") for x in row] for row in rows]
 
 
 def system_to_dict(sys: AffineNilsystem) -> dict:
@@ -79,16 +86,12 @@ def system_from_dict(data: dict) -> AffineNilsystem:
     if type(symbols) is not list or any(type(n) is not str for n in symbols):
         raise ValueError("symbols must be a list of strings, got %r" % (symbols,))
     ctx = SymbolContext(symbols)
-    A = UnipotentAutomorphism(
-        alg, [[parse_rat(x) for x in row] for row in data["automorphism"]]
-    )
+    A = UnipotentAutomorphism(alg, _matrix(data["automorphism"], "automorphism"))
     g_tau = _coords_from_records(ctx, data["translation"])
     second = None
     if "second_generator" in data:
         sg = data["second_generator"]
-        A2 = UnipotentAutomorphism(
-            alg, [[parse_rat(x) for x in row] for row in sg["automorphism"]]
-        )
+        A2 = UnipotentAutomorphism(alg, _matrix(sg["automorphism"], "automorphism"))
         second = (A2, _coords_from_records(ctx, sg["translation"]))
     return AffineNilsystem(
         alg, A, g_tau, context=ctx, second=second, name=data.get("name", "")

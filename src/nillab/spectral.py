@@ -510,7 +510,6 @@ def fejer_density(series: AutocorrelationSeries, grid_size: int) -> np.ndarray:
 @dataclass
 class SpectralReport:
     atom_mass: float
-    fejer_grid: np.ndarray
     verdict: str  # discrete | lebesgue-like | mixed
     c0: float
     sample_count: int
@@ -531,7 +530,6 @@ def classify(series: AutocorrelationSeries) -> SpectralReport:
         verdict = "mixed"
     return SpectralReport(
         atom_mass=am.value,
-        fejer_grid=fejer_density(series, 64),
         verdict=verdict,
         c0=c0,
         sample_count=series.sample_count,
@@ -778,6 +776,9 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
     called on the batch object the projection saw last, so the batch must not
     be changed in place between the two calls.
     """
+    M = _integral(samples, "samples")
+    if M < 1:
+        raise ValueError("samples must be >= 1, got %d" % M)
     check_factor_kernel(sys, N_ideal)
     alg = sys.algebra
     dirs = _primitive_ideal_basis(N_ideal)
@@ -788,7 +789,6 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
         kept = {k: a for k, a in f.terms.items() if not any(k[j] for j in axes)}
         rest = {k: a for k, a in f.terms.items() if k not in kept}
         return Observable(f.dim, kept), Observable(f.dim, rest)
-    M = int(samples)
     u = (np.array(list(np.ndindex(*[M] * len(dirs)))) + 0.5) / M
     zs = [gp.first_to_second(alg, w.tolist()) for w in u @ dirs]
 
@@ -894,10 +894,13 @@ def pushforward_histogram(p: dict, bins: int, N: int, seed) -> PushforwardHistog
     d = len(expos[0])
     if any(len(e) != d for e in expos):
         raise ValueError("inconsistent number of variables")
+    coeffs = [float(c) for c in p.values()]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite, got %r" % (list(p.values()),))
     pts = gp.haar_sample(d, N, seed)
     vals = np.zeros(N)
-    for k, c in zip(expos, p.values()):
-        term = float(c) * np.ones(N)
+    for k, c in zip(expos, coeffs):
+        term = c * np.ones(N)
         for j, e in enumerate(k):
             if e:
                 term = term * pts[:, j] ** e

@@ -1,8 +1,10 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nillab.cli import main
@@ -68,6 +70,24 @@ def test_spectrum_csv_and_determinism(capsys):
     report = [l for l in lines if l.startswith("#")]
     assert any("atom_mass" in l for l in report)
     assert any("verdict" in l for l in report)
+
+
+def test_verdicts_compute_no_fejer_density(capsys, monkeypatch):
+    """A verdict reads the atom mass and c(0) alone: with the Fejer density
+    made to raise, classify, verify and spectrum still run to exit 0."""
+    from nillab import spectral as sp
+
+    def unread(series, grid_size):
+        raise AssertionError("fejer_density called")
+
+    monkeypatch.setattr(sp, "fejer_density", unread)
+    assert "fejer_grid" not in {f.name for f in dataclasses.fields(sp.SpectralReport)}
+    series = sp.AutocorrelationSeries(list(range(-64, 65)), np.ones(129, dtype=complex), 1000, 0)
+    assert sp.classify(series).verdict == "discrete"
+    assert run(capsys, ["verify"])[0] == 0
+    code, out, _ = run(capsys, ["spectrum", "--system", "rot_torus", "--observable", "1:1",
+                                "--samples", "2048", "--lags", "64", "--seed", "7"])
+    assert code == 0 and "# verdict=discrete" in out
 
 
 def test_spectrum_lag_budget(capsys):
@@ -316,9 +336,17 @@ def _heisenberg3_file(*path, value=None):
     _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 0, value=2.2),
     # a string is not a list of symbol names, one per character
     _heisenberg3_file("symbols", value="ab"),
+    # rationals are text: a JSON number is refused, not taken by its binary value,
+    # and a string is not a matrix row, one entry per character
+    _heisenberg3_file("automorphism", 0, 0, value=1),
+    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 1, value=1),
+    _heisenberg3_file("translation", 0, 0, "coeff", value=0.1),
+    _heisenberg3_file("automorphism", 0, value="100"),
 ], ids=["no_automorphism", "json_list", "automorphism_1/0", "bracket_1/0",
         "translation_1/0", "fractional_exponent", "negative_exponent", "float_dim",
-        "string_dim", "float_step", "float_i", "float_j", "float_k", "string_symbols"])
+        "string_dim", "float_step", "float_i", "float_j", "float_k", "string_symbols",
+        "number_automorphism_entry", "number_bracket_coefficient",
+        "number_translation_coeff", "string_automorphism_row"])
 def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))

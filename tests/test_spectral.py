@@ -452,6 +452,22 @@ def test_classify_verdicts_on_exact_series():
     assert classify(half).verdict == "mixed"
 
 
+def test_classify_thresholds_are_inclusive(monkeypatch):
+    # a constant series at v = 2^-j: atom mass v^2 and c(0) = v, so the ratio
+    # atom mass / c(0) is exactly v
+    def constant(v):
+        series = ones_series(128)
+        series.values = series.values * v
+        return series
+
+    monkeypatch.setitem(sp.CALIBRATION, "discrete_ratio", 0.5)
+    monkeypatch.setitem(sp.CALIBRATION, "continuous_ratio", 0.125)
+    assert classify(constant(0.5)).verdict == "discrete"
+    assert classify(constant(0.25)).verdict == "mixed"
+    assert classify(constant(0.125)).verdict == "lebesgue-like"
+    assert classify(constant(0.0)).verdict == "discrete"  # c(0) = 0
+
+
 # ---------------------------------------------------------------------------
 # Uniformity seminorms
 # ---------------------------------------------------------------------------
@@ -744,6 +760,19 @@ def test_quadrature_complement_reuses_the_projection_of_the_same_batch():
     assert calls[0] == (K + 1) * (M ** 2 + 1)
 
 
+@pytest.mark.parametrize("samples", [1.5, 0, -2])
+def test_projection_checks_samples_on_either_path(samples):
+    # 1.5 is no grid size, and 0 and -2 give no grid point
+    sys = catalog_build("heisenberg3")
+    alg = sys.algebra
+    center = la.span(alg, [alg.basis_vector(2)])
+    noncentral = la.span(alg, [alg.basis_vector(1), alg.basis_vector(2)])
+    f = Observable(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0})
+    for kernel in (center, noncentral):
+        with pytest.raises(ValueError, match="samples"):
+            project_to_factor(sys, f, kernel, samples=samples)
+
+
 def test_projection_rejects_noninvariant_kernel():
     sys = catalog_build("heisenberg3")
     bad = la.span(sys.algebra, [sys.algebra.basis_vector(0)])
@@ -946,6 +975,13 @@ def test_pushforward_rejects_non_polynomial_exponents(p):
     # 1.7 was truncated to x^1 and -1 taken as the Laurent term 1/x
     with pytest.raises(ValueError, match="exponent"):
         pushforward_histogram(p, 32, 1 << 12, seed=0)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_pushforward_rejects_non_finite_coefficient(c):
+    # NaN and infinite values fall outside every bin, so no mass would be counted
+    with pytest.raises(ValueError, match="finite"):
+        pushforward_histogram({(1,): 1.0, (2,): c}, 32, 1 << 12, seed=0)
 
 
 def test_pushforward_accepts_integral_exponents():
