@@ -147,7 +147,8 @@ class PolynomialMap:
         values = [_float_entry(v) for v in values]
         key = (tuple(isinstance(v, np.ndarray) for v in values), floors_at)
         if key not in self._plans:
-            self._plans[key] = _float_plan(self.exact, *key)
+            self._plans[key] = _float_plan([(self.exact, floors_at, (None,) * len(values))],
+                                           key[0])
         return self._plans[key](*values)
 
     def _exact(self, values: list, floors_at: int | None):
@@ -187,76 +188,134 @@ def _float_entry(v):
     return float(v) if isinstance(v, _EXACT_TYPES) else v
 
 
-def _float_plan(polys, arrays: tuple, floors_at: int | None):
-    """The float evaluation of ``polys`` at entries x0, x1, ..., those where
-    ``arrays`` is true being arrays, compiled once into a Python function.
+def _float_plan(stages, arrays: tuple, floors_out: bool = True):
+    """The float evaluation of a chain of polynomial maps at entries x0, x1,
+    ..., those where ``arrays`` is true being arrays, compiled once into one
+    Python function that returns what the last map returns, less its floors
+    when ``floors_out`` is false.
 
-    It keeps the arithmetic of the plain loop, in its order: per output,
-    acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term, each product
-    taken left to right.  Scalar factors before a monomial's first array
-    factor are multiplied into the coefficient as scalars; from there on the
-    work is in place.  An output's first array term becomes the output array,
-    to which the running scalar is added (so 0 + -0.0 is 0.0, as in the
-    loop); each later array term is multiplied into one scratch buffer and
-    added in place.  A coefficient of exactly 1.0 or -1.0 that meets an array
-    factor first is not multiplied: the rest of the product is added or
-    subtracted, which is exact.  With ``floors_at``, an array output is split
-    in place into its fractional part and a fresh floor array, the fractional
-    part set to 0.0 where t - floor(t) rounds up to 1.0; a scalar output is
-    split as in the loop.
+    Each stage is (polys, floors_at, known): ``known[j]`` is the float value
+    of the stage's entry j when it is known as the plan is built, else None.
+    The unknown entries are the plan's arguments in order for the first
+    stage, and the previous stage's outputs in order for each later one.
+
+    Each stage keeps the arithmetic of the plain loop, in its order: per
+    output, acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term, each
+    product taken left to right.  Scalar factors before a monomial's first
+    array factor are multiplied into the coefficient as scalars, the leading
+    known ones when the plan is built; from there on the work is in place.
+    An output's first array term becomes the output array, to which the
+    running scalar is added (so 0 + -0.0 is 0.0, as in the loop); each later
+    array term is multiplied into one scratch buffer and added in place.  A
+    coefficient of exactly 1.0 or -1.0 that meets an array factor first is
+    not multiplied: the rest of the product is added or subtracted, which is
+    exact.  With ``floors_at``, an array output is split in place into its
+    fractional part and a fresh floor array, the fractional part set to 0.0
+    where t - floor(t) rounds up to 1.0; a scalar output is split as in the
+    loop.  No entry is written.
+
+    Two shortcuts keep the plan's outputs bit for bit at finite entries.  A
+    term with a known factor of +-0.0 is skipped, as the exact loop skips a
+    term with a zero factor (an output whose array terms all have one keeps
+    the first, so it stays an array): the term is +-0.0, and adding +-0.0
+    changes no sum started from the int 0, as such a sum is never -0.0.  At
+    a non-finite entry the term would have been NaN.  And in a loose stage,
+    one whose outputs only sums read, an output is not started from 0: a lone
+    entry is passed on as it is, and an entry followed by another term is
+    added to that term out of place (or, with floors, split out of place).
+    Every stage but the last is loose, and so is the last when its floors
+    are not returned.  A loose output, and so a later stage's, can differ
+    only in the sign of a zero, which changes only terms that are +-0.0: the
+    last stage's sums, started from 0, absorb those, and its fractional
+    parts t - floor(t) are +0.0 at either zero.
     """
-    first_array = "x%d" % arrays.index(True) if any(arrays) else None
-    arrays = list(arrays)
-    lines, outs, scratch = [], [], False
-    for i, poly in enumerate(polys):
-        o = None  # the output array, once its first array term is in
-        lines.append("s = 0")
-        for c, mono in poly:
-            c = float(c)
-            k = next((n for n, j in enumerate(mono) if arrays[j]), len(mono))
-            scalar = "(%s)" % " * ".join([repr(c)] + ["x%d" % j for j in mono[:k]])
-            if k == len(mono):
-                lines.append("s = s + %s" % scalar if o is None
-                             else "np.add(%s, %s, out=%s)" % (o, scalar, o))
-                continue
-            unit = c in (1.0, -1.0) and k == 0
-            factors = ([] if unit else [scalar]) + ["x%d" % j for j in mono[k:]]
-            if len(factors) > 1:
-                # the product into the output (its first array term) or the scratch
-                target = "o%d" % i if o is None else "b"
-                scratch |= o is not None
-                lines.append("%s = np.multiply(%s, %s%s)" % (
-                    target, factors[0], factors[1], "" if o is None else ", out=b"))
-                lines += ["np.multiply(%s, %s, out=%s)" % (target, f, target)
-                          for f in factors[2:]]
-                factors = [target]
-            add = "np.subtract" if unit and c < 0 else "np.add"
-            if o is None:
-                o = "o%d" % i
-                lines.append("%s = %s(s, %s%s)" % (
-                    o, add, factors[0], ", out=%s" % o if factors[0] == o else ""))
-            else:
-                lines.append("%s(%s, %s, out=%s)" % (add, o, factors[0], o))
-        if o is None:
-            lines.append("o%d = s" % i)
-        if floors_at is not None:
-            f = "x%d" % (floors_at + i)
-            if o is None:
-                lines += ["%s = np.floor(o%d)" % (f, i), "o%d = o%d - %s" % (i, i, f),
-                          "o%d = o%d - (o%d >= 1.0)" % (i, i, i)]
-            else:
-                lines += ["%s = np.floor(%s)" % (f, o),
-                          "np.subtract(%s, %s, out=%s)" % (o, f, o),
-                          "%s[%s >= 1.0] = 0.0" % (o, o)]
-            arrays[floors_at + i] = o is not None
-        outs.append("o%d" % i)
-    result = "[%s]" % ", ".join(outs)
-    if floors_at is not None:
-        result += ", [%s]" % ", ".join("x%d" % j for j in range(floors_at, len(arrays)))
+    entries = [("x%d" % j, a) for j, a in enumerate(arrays)]  # (source text, is array)
+    args = ", ".join(text for text, _ in entries)
+    first_array = next((text for text, a in entries if a), None)
+    lines, scratch = [], False
+    for n, (polys, floors_at, known) in enumerate(stages):
+        loose = n < len(stages) - 1 or floors_at is not None and not floors_out
+        read = iter(entries)
+        entries = [next(read) if k is None else (repr(k), False) for k in known]
+        known = list(known)
+        outs = []
+        for i, poly in enumerate(polys):
+            terms = []  # (coefficient, unfolded factors, is zero, has an array factor)
+            for c, mono in poly:
+                c, lead = float(c), 0
+                while lead < len(mono) and known[mono[lead]] is not None:
+                    c, lead = c * known[mono[lead]], lead + 1
+                mono = mono[lead:]
+                terms.append((c, mono, c == 0.0 or any(known[j] == 0.0 for j in mono),
+                              any(entries[j][1] for j in mono)))
+            spare = not any(arr and not zero for _, _, zero, arr in terms)
+            o, start, s, skipped = "o%d_%d" % (n, i), None, "0", False
+            # the sum so far: "s", the scalar s (the int 0 until a scalar term
+            # is added); "start", the entry start; "o", the array o
+            state = "s"
+            for c, mono, zero, arr in terms:
+                if zero and not (arr and spare):
+                    skipped = True
+                    continue
+                spare = spare and not arr
+                k = next((p for p, j in enumerate(mono) if entries[j][1]), len(mono))
+                scalar = "(%s)" % " * ".join([repr(c)] + [entries[j][0] for j in mono[:k]])
+                op = "np.add"
+                if k == len(mono):
+                    value = scalar
+                else:
+                    unit = c in (1.0, -1.0) and k == 0
+                    factors = ([] if unit else [scalar]) + [entries[j][0] for j in mono[k:]]
+                    if unit and c < 0:
+                        op = "np.subtract"
+                    value = factors[0]
+                    if len(factors) > 1:
+                        # the product into the output (its first array term) or the scratch
+                        value = "b" if state == "o" else o
+                        scratch |= value == "b"
+                        lines.append("%s = np.multiply(%s, %s%s)" % (
+                            value, factors[0], factors[1], ", out=b" if value == "b" else ""))
+                        lines += ["np.multiply(%s, %s, out=%s)" % (value, f, value)
+                                  for f in factors[2:]]
+                if state == "o":
+                    lines.append("%s(%s, %s, out=%s)" % (op, o, value, o))
+                elif state == "start":
+                    lines.append("%s = %s(%s, %s%s)" % (
+                        o, op, start, value, ", out=%s" % o if value == o else ""))
+                    state = "o"
+                elif not arr:
+                    lines.append("s = %s + %s" % (s, value))
+                    s = "s"
+                elif loose and s == "0" and op == "np.add":
+                    if value != o:
+                        state, start = "start", value
+                        continue
+                    state = "o"
+                else:
+                    lines.append("%s = %s(%s, %s%s)" % (
+                        o, op, s, value, ", out=%s" % o if value == o else ""))
+                    state = "o"
+            if state == "s":  # a skipped term would have made an int 0 a float
+                lines.append("%s = %s" % (o, "0.0" if skipped and s == "0" else s))
+            if floors_at is not None:
+                f = "f%d_%d" % (n, i)
+                lines.append("%s = np.floor(%s)" % (f, start if state == "start" else o))
+                if state == "s":
+                    lines += ["%s = %s - %s" % (o, o, f), "%s = %s - (%s >= 1.0)" % (o, o, o)]
+                else:
+                    lines += ["np.subtract(%s, %s, out=%s)" % (o, f, o) if state == "o"
+                              else "%s = np.subtract(%s, %s)" % (o, start, f),
+                              "%s[%s >= 1.0] = 0.0" % (o, o)]
+                    state = "o"
+                entries[floors_at + i], known[floors_at + i] = (f, state != "s"), None
+            outs.append((start if state == "start" else o, state != "s"))
+        result = "[%s]" % ", ".join(text for text, _ in outs)
+        if floors_at is not None and floors_out:
+            result += ", [%s]" % ", ".join(text for text, _ in entries[floors_at:])
+        entries = outs
     if scratch:
         lines.insert(0, "b = np.empty_like(%s)" % first_array)
-    source = "def plan(%s):\n    %s\n    return %s\n" % (
-        ", ".join("x%d" % j for j in range(len(arrays))), "\n    ".join(lines), result)
+    source = "def plan(%s):\n    %s\n    return %s\n" % (args, "\n    ".join(lines), result)
     namespace = {"np": np}
     exec(source, namespace)
     return namespace["plan"]
@@ -340,6 +399,11 @@ def identity_element(alg: NilLieAlgebra) -> list:
 @_compiled
 def multiply(alg: NilLieAlgebra, g: list, h: list) -> list:
     return first_to_second(alg, bch(alg, second_to_first(alg, g), second_to_first(alg, h)))
+
+
+#: multiply's table for the step plans, bound once, so that rebinding the
+#: module's name ``multiply`` (as perfbench's tracer does) leaves them intact
+_multiply_table = multiply.table
 
 
 @_compiled
@@ -595,3 +659,42 @@ def identity_automorphism(alg: NilLieAlgebra) -> UnipotentAutomorphism:
     return UnipotentAutomorphism(
         alg, [[Fraction(1) if i == j else Fraction(0) for j in range(alg.dim)] for i in range(alg.dim)]
     )
+
+
+# ---------------------------------------------------------------------------
+# Float orbit steps
+# ---------------------------------------------------------------------------
+
+_STEP_PLANS: dict[tuple, object] = {}
+
+
+def affine_step(alg: NilLieAlgebra, A: UnipotentAutomorphism | None, g: list):
+    """The float step x -> g * A(x) reduced mod the lattice, A None for the
+    identity and g a list of floats, as a function of a float point that
+    returns the reduced point.  At finite points it is bit for bit
+    ``reduce_mod_lattice(alg, multiply(alg, g, apply_automorphism(alg, A, x)))[0]``.
+
+    The three tables run as one plan (:func:`_float_plan`) with g and the
+    lattice table's zero starts known, so a zero coordinate of g, and the
+    whole translation when g is the identity, costs nothing.  The plan is
+    compiled on the first call for each pattern of array and scalar entries
+    and kept under (alg.key, A.key, g's bit patterns, that pattern), shared by
+    every system with an equal generator; building the function compiles
+    nothing.
+    """
+    m = alg.dim
+    g = [float(t) for t in g]
+    head = (alg.key, None if A is None else A.key, np.array(g, dtype=np.float64).tobytes())
+
+    def step(values: list) -> list:
+        values = [_float_entry(v) for v in values]
+        key = head + (tuple(isinstance(v, np.ndarray) for v in values),)
+        plan = _STEP_PLANS.get(key)
+        if plan is None:
+            stages = [] if A is None else [(_automorphism_table(alg, A).exact, None, (None,) * m)]
+            stages += [(_multiply_table(alg).exact, None, tuple(g) + (None,) * m),
+                       (_times_lattice.table(alg).exact, m, (None,) * m + (0.0,) * m)]
+            plan = _STEP_PLANS[key] = _float_plan(stages, key[-1], floors_out=False)
+        return plan(*values)
+
+    return step

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import product
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -518,11 +518,15 @@ class SpectralReport:
 
 
 def classify(series: AutocorrelationSeries) -> SpectralReport:
+    """The verdict of the atom mass against ``CALIBRATION``'s ratios of c(0),
+    each bound inclusive; a zero series (c(0) = 0) reads discrete.  Raises
+    ValueError when c(0) or the atom mass is not finite."""
     am = wiener_atom_mass(series)
     c0 = series.c0()
-    if c0 <= 0:
-        verdict = "discrete"
-    elif am.value >= CALIBRATION["discrete_ratio"] * c0:
+    if not (isfinite(c0) and isfinite(am.value)):
+        raise ValueError("autocorrelation is not finite: c(0) = %r, atom mass = %r"
+                         % (c0, am.value))
+    if am.value >= CALIBRATION["discrete_ratio"] * c0:
         verdict = "discrete"
     elif am.value <= CALIBRATION["continuous_ratio"] * c0:
         verdict = "lebesgue-like"

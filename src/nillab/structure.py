@@ -148,41 +148,39 @@ class NumericSystem:
 
     Each generator x -> g * A(x) is held as an affine pair (A, g), g evaluated
     at the system's default assignment and A None when it is the identity,
-    whose table is then skipped.  Only forward steps exist: the estimators
-    walk every orbit forward.
+    whose table is then skipped.  Its reduced step is
+    :func:`group.affine_step`: one plan per generator and pattern of array
+    entries, with g folded in, compiled on the first step and cached in
+    ``group`` for every system with an equal generator, so building a
+    NumericSystem compiles nothing.  Only forward steps exist: the
+    estimators walk every orbit forward.
     """
 
     def __init__(self, sys: AffineNilsystem):
         self.sys = sys
         self.alg = sys.algebra
         self._forward = self._pair(sys.A, sys.g_tau)
+        self._step1 = gp.affine_step(self.alg, *self._forward)
         if sys.second is not None:
-            self._forward2 = self._pair(*sys.second)
+            self._step2 = gp.affine_step(self.alg, *self._pair(*sys.second))
 
     def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
         values = self.sys.default_assignment
         return None if A.is_identity else A, [evaluate_scalar(t, values) for t in g]
 
-    def _affine(self, pts: list, pair: tuple) -> list:
-        A, g = pair
+    def apply(self, pts: list) -> list:
+        """g_tau * A(pts): one step of T before lattice reduction."""
+        A, g = self._forward
         if A is not None:
             pts = gp.apply_automorphism(self.alg, A, pts)
         return gp.multiply(self.alg, g, pts)
 
-    def _step(self, pts: list, pair: tuple) -> list:
-        rep, _ = gp.reduce_mod_lattice(self.alg, self._affine(pts, pair))
-        return rep
-
-    def apply(self, pts: list) -> list:
-        """g_tau * A(pts): one step of T before lattice reduction."""
-        return self._affine(pts, self._forward)
-
     def step(self, pts: list) -> list:
         """pts is a list of m arrays (or floats); returns T(pts), reduced."""
-        return self._step(pts, self._forward)
+        return self._step1(pts)
 
     def step2(self, pts: list) -> list:
-        return self._step(pts, self._forward2)
+        return self._step2(pts)
 
     def sample_points(self, count: int, seed: int | None) -> list:
         pts = gp.haar_sample(self.alg.dim, count, seed)

@@ -271,6 +271,17 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_non_finite_series_exits_1_with_error_line(capsys):
+    """An amplitude whose products overflow gives a NaN series, which
+    classify refuses: one error line and exit 1, not a verdict."""
+    code, out, err = run(capsys, _SPECTRUM + ["--observable", "1:1e200",
+                                              "--samples", "1024", "--lags", "64"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: autocorrelation is not finite") and err.count("\n") == 1
+
+
 def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch):
     """One report builds two quotients (the discrete factor and the ergodicity
     torus) and takes four rational hulls (J, the Leibman component, its lcs

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as hst
 
 from nillab import algebra as la
 from nillab import group as gp
+from nillab import structure as st
 from nillab.algebra import NilLieAlgebra
 from nillab.catalog import catalog_build, catalog_list
 
@@ -358,6 +360,78 @@ def test_float_plans_are_bitwise_the_plain_loop(data):
     g = [np.array(data.draw(hst.lists(float_entries, min_size=size, max_size=size)))
          for _ in range(m)]
     assert_plan_is_plain_loop(gp._times_lattice.table(alg), g + [0] * m, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.data())
+def test_known_entries_fold_bitwise(data):
+    """A plan built with some scalar entries known (folded into each term's
+    coefficient, a term with a known zero skipped) gives the plain loop's
+    outputs and floors at the whole point, bit for bit and of its types."""
+    alg = data.draw(adapted_algebras())
+    m = alg.dim
+    size = data.draw(hst.integers(1, 4))
+    tables = [(gp.multiply.table(alg), 2 * m, None), (gp.inverse.table(alg), m, None),
+              (gp.second_to_first.table(alg), m, None), (gp.first_to_second.table(alg), m, None),
+              (gp._times_lattice.table(alg), 2 * m, m)]
+    for pmap, nvars, floors_at in tables:
+        values = data.draw(float_points(nvars, size))
+        known = tuple(v if isinstance(v, float) and data.draw(hst.booleans()) else None
+                      for v in values)
+        rest = [gp._float_entry(v) for v, k in zip(values, known) if k is None]
+        plan = gp._float_plan([(pmap.exact, floors_at, known)],
+                              tuple(isinstance(v, np.ndarray) for v in rest))
+        got, want = plan(*rest), oracles.polynomial_map_float(pmap, values, floors_at)
+        if floors_at is not None:
+            got, want = got[0] + got[1], want[0] + want[1]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+unit_points = hst.one_of(hst.sampled_from([0.0, -0.0, float(np.nextafter(1.0, 0.0))]),
+                        hst.floats(0.0, 1.0, exclude_max=True))
+translation_entries = hst.one_of(hst.sampled_from([0.0, 1.0, -1.0]),
+                                 hst.floats(-4.0, 4.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_step_plan_is_bitwise_the_three_tables(data):
+    """NumericSystem.step, one plan with g folded in, equals the automorphism,
+    multiply and lattice tables run one after another on the generic path,
+    bit for bit, at points in [0, 1) mixing Python floats with read-only
+    arrays, for translations with zero, unit and -0.0 coordinates; its
+    outputs are fresh arrays."""
+    alg = data.draw(adapted_algebras())
+    m = alg.dim
+    A = data.draw(hst.one_of(unipotent_automorphisms(alg),
+                             hst.just(gp.identity_automorphism(alg))))
+    g = data.draw(hst.lists(translation_entries, min_size=m, max_size=m))
+    # the float step needs no lattice-preserving A, so it runs on a stand-in
+    # with the attributes NumericSystem reads
+    num = st.NumericSystem(SimpleNamespace(algebra=alg, A=A, g_tau=g, second=None,
+                                           default_assignment={}))
+    size = data.draw(hst.integers(1, 4))
+    x = []
+    for _ in range(m):
+        if data.draw(hst.booleans()):
+            x.append(data.draw(unit_points))
+            continue
+        v = np.array(data.draw(hst.lists(unit_points, min_size=size, max_size=size)))
+        v.flags.writeable = False
+        x.append(v)
+    want, _ = gp.reduce_mod_lattice(alg, gp.multiply(alg, g, gp.apply_automorphism(alg, A, x)))
+    got = num.step(x)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+    arrays = [a for a in got if isinstance(a, np.ndarray)]
+    inputs = [v for v in x if isinstance(v, np.ndarray)]
+    assert not any(np.shares_memory(a, v) for a in arrays for v in inputs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
 # ---------------------------------------------------------------------------

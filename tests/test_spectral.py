@@ -468,6 +468,20 @@ def test_classify_thresholds_are_inclusive(monkeypatch):
     assert classify(constant(0.0)).verdict == "discrete"  # c(0) = 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_classify_refuses_a_non_finite_series(bad):
+    """A non-finite c(0) or atom mass has no verdict: a NaN series used to
+    read `mixed`, and a NaN atom mass at c(0) = 0 `discrete`."""
+    everywhere = ones_series(128)
+    everywhere.values = np.full(257, complex(bad))
+    off_zero = ones_series(128)
+    off_zero.values = np.zeros(257, dtype=complex)
+    off_zero.values[0] = bad  # c(0) = 0, atom mass not finite
+    for series in (everywhere, off_zero):
+        with pytest.raises(ValueError, match="not finite"):
+            classify(series)
+
+
 # ---------------------------------------------------------------------------
 # Uniformity seminorms
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from nillab import algebra as la
 from nillab import group as gp
 from nillab import structure as st
 from nillab.algebra import NilLieAlgebra
-from nillab.catalog import catalog_build, catalog_entry, catalog_list
+from nillab.catalog import catalog_build, catalog_entry, catalog_list, substitute_params
 from nillab.group import UnipotentAutomorphism
 from nillab.scalars import evaluate_scalar
 from nillab.spectral import Observable, project_to_factor
@@ -266,7 +266,7 @@ def _bitwise_equal(got, want):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_orbit_is_bitwise_the_plain_table_loop(name):
-    """128 steps of each generator equal, bit for bit, the automorphism,
+    """300 steps of each generator equal, bit for bit, the automorphism,
     multiply and lattice tables evaluated by the plain loop one after another
     (the identity automorphism table included, which the step skips)."""
     sys = catalog_build(name)
@@ -278,13 +278,56 @@ def test_orbit_is_bitwise_the_plain_table_loop(name):
     for step, A, g in gens:
         g = [evaluate_scalar(t, sys.default_assignment) for t in g]
         pts = want = num.sample_points(512, 11)
-        for _ in range(128):
+        for _ in range(300):
             pts = step(pts)
             x = oracles.polynomial_map_float(gp._automorphism_table(alg, A), want)
             x = oracles.polynomial_map_float(gp.multiply.table(alg), g + x)
             want, _ = oracles.polynomial_map_float(
                 gp._times_lattice.table(alg), x + [0] * alg.dim, floors_at=alg.dim)
             assert _bitwise_equal(pts, want)
+
+
+def _compiled_plans(monkeypatch) -> list:
+    """From now on, an empty step-plan cache and the list of plans compiled."""
+    monkeypatch.setattr(gp, "_STEP_PLANS", {})
+    made, compile_plan = [], gp._float_plan
+
+    def counted(*args, **kwargs):
+        made.append(compile_plan(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(gp, "_float_plan", counted)
+    return made
+
+
+def test_step_plans_are_compiled_once_per_generator(monkeypatch):
+    """Building a NumericSystem compiles nothing; the first step compiles the
+    generator's plan, which a rebuilt system (every `verify` and estimator
+    call builds one) reuses."""
+    made = _compiled_plans(monkeypatch)
+    num = catalog_build("heisenberg3").numeric()
+    assert made == []
+    pts = num.sample_points(64, 1)
+    num.step(pts)
+    assert len(made) == 1
+    catalog_build("heisenberg3").numeric().step(pts)
+    num.step(pts)
+    assert len(made) == 1
+
+
+def test_step_plans_are_keyed_by_the_translation_bits(monkeypatch):
+    """Generators that differ only in g's value, or only in the sign of a
+    zero coordinate, get plans of their own."""
+    made = _compiled_plans(monkeypatch)
+    base = catalog_build("skew_torus_ergodic")
+    pts = base.numeric().sample_points(64, 1)
+    steps = [substitute_params(base, {"alpha": v}).numeric().step(pts) for v in ("1/3", "1/5")]
+    assert len(made) == 2 and made[0] is not made[1]
+    assert not _bitwise_equal(*steps)
+    alg = base.algebra
+    zeros = [gp.affine_step(alg, None, [z, 0.0])(pts) for z in (0.0, -0.0)]
+    assert len(made) == 4
+    assert _bitwise_equal(*zeros)
 
 
 @pytest.mark.parametrize("defaults", [
