@@ -28,9 +28,9 @@ class CatalogEntry:
     """One system: its algebra and generators beside its expected answers.
 
     ``algebra`` is (dim, step, brackets) as :class:`NilLieAlgebra` takes them;
-    ``automorphism`` is T's matrix, None for the identity; ``translation``
-    lists T's translation coordinates, each 0 or a symbol name; ``second``
-    holds (automorphism, translation) of a commuting T2 for a Z^2-system.
+    ``generators`` lists one (automorphism, translation) pair per generator,
+    two commuting ones for a Z^2-system: the automorphism's matrix, None for
+    the identity, and the translation coordinates, each 0 or a symbol name.
     """
 
     name: str
@@ -38,10 +38,8 @@ class CatalogEntry:
     symbols: tuple[str, ...]
     default_assignment: dict[str, float]
     algebra: tuple
-    translation: tuple
+    generators: list
     expected: dict
-    automorphism: list | None = None
-    second: tuple | None = None
     observables: list[dict] = field(default_factory=list)
     dichotomy_observables: list[dict] = field(default_factory=list)
 
@@ -58,10 +56,8 @@ def _system(entry: CatalogEntry, ctx: SymbolContext) -> AffineNilsystem:
              UnipotentAutomorphism(alg, [[Fraction(x) for x in row] for row in matrix]))
         return A, [ctx.symbol(t) if isinstance(t, str) else ctx.constant(t) for t in translation]
 
-    A, g_tau = generator(entry.automorphism, entry.translation)
-    second = None if entry.second is None else generator(*entry.second)
-    return AffineNilsystem(alg, A, g_tau, context=ctx, second=second, name=entry.name,
-                           default_assignment=entry.default_assignment)
+    return AffineNilsystem(alg, [generator(A, g) for A, g in entry.generators], context=ctx,
+                           name=entry.name, default_assignment=entry.default_assignment)
 
 
 _ENTRIES = [
@@ -71,8 +67,7 @@ _ENTRIES = [
         symbols=(),
         default_assignment={},
         algebra=(2, 1, {}),
-        automorphism=_SKEW,
-        translation=(0, 0),
+        generators=[(_SKEW, (0, 0))],
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -98,8 +93,7 @@ _ENTRIES = [
         symbols=("alpha",),
         default_assignment={"alpha": SQRT2M1},
         algebra=(2, 1, {}),
-        automorphism=_SKEW,
-        translation=("alpha", 0),
+        generators=[(_SKEW, ("alpha", 0))],
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -120,7 +114,7 @@ _ENTRIES = [
         symbols=("alpha",),
         default_assignment={"alpha": SQRT2M1},
         algebra=(1, 1, {}),
-        translation=("alpha",),
+        generators=[(None, ("alpha",))],
         expected={
             "tau_ideal_dim": 0,
             "J": [],
@@ -140,7 +134,7 @@ _ENTRIES = [
         symbols=("alpha", "beta"),
         default_assignment={"alpha": SQRT2M1, "beta": SQRT3M1},
         algebra=(3, 2, {(0, 1): {2: 1}}),
-        translation=("alpha", "beta", 0),
+        generators=[(None, ("alpha", "beta", 0))],
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 0, 1]],
@@ -174,7 +168,7 @@ _ENTRIES = [
             (0, 4): {5: 1},   # [E12, E24] = E14
             (2, 3): {5: -1},  # [E34, E13] = -E14
         }),
-        translation=(0, "u_tau", 0, "y_tau", 0, 0),
+        generators=[(None, (0, "u_tau", 0, "y_tau", 0, 0))],
         expected={
             "tau_ideal_dim": 3,
             "J": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]],
@@ -200,9 +194,7 @@ _ENTRIES = [
         symbols=("alpha", "beta"),
         default_assignment={"alpha": SQRT2M1, "beta": SQRT3M1},
         algebra=(2, 1, {}),
-        automorphism=_SKEW,
-        translation=("alpha", 0),
-        second=(None, (0, "beta")),
+        generators=[(_SKEW, ("alpha", 0)), (None, (0, "beta"))],
         expected={
             "tau_ideal_dim": 1,
             "J": [[0, 1]],
@@ -262,14 +254,10 @@ def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsys
     if not subst:
         return sys
     kept = tuple(n for n in symbols if n not in subst)
-    g_tau = [substitute_rational(t, subst) for t in sys.g_tau]
-    second = None
-    if sys.second is not None:
-        A2, g2 = sys.second
-        second = (A2, [substitute_rational(t, subst) for t in g2])
+    generators = [(A, [substitute_rational(t, subst) for t in g]) for A, g in sys.generators]
     defaults = {n: v for n, v in sys.default_assignment.items() if n in kept}
-    return AffineNilsystem(sys.algebra, sys.A, g_tau, context=SymbolContext(kept), second=second,
-                           name=sys.name, default_assignment=defaults)
+    return AffineNilsystem(sys.algebra, generators, context=SymbolContext(kept), name=sys.name,
+                           default_assignment=defaults)
 
 
 def observable_for(entry: CatalogEntry, spec: dict) -> Observable:

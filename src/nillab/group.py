@@ -513,7 +513,8 @@ def haar_sample(m: int, count: int, seed: int | None) -> np.ndarray:
 
 def haar_chunks(m: int, count: int, seed: int | None, size: int):
     """The points of :func:`haar_sample`, transposed, in blocks of ``size``
-    columns (a power of two), each drawn when it is reached.
+    columns (a power of two), each drawn when it is reached; the arguments
+    are checked at the call.
 
     Only the first block is built, by Gray-code doubling.  For j < size the
     Gray code of lo + j is that of lo xor that of j, so block lo..lo+size-1
@@ -529,6 +530,11 @@ def haar_chunks(m: int, count: int, seed: int | None, size: int):
     if not 0 <= m <= len(_SOBOL_TABLE):
         raise SobolRangeError(
             "Sobol dimension must be in 0..%d, got %d" % (len(_SOBOL_TABLE), m))
+    return _haar_blocks(m, count, seed, size)
+
+
+def _haar_blocks(m: int, count: int, seed: int | None, size: int):
+    """The blocks of :func:`haar_chunks`, whose arguments are already checked."""
     v = _sobol_directions(m)
     shift = np.zeros(m, dtype=np.uint32)
     if seed is not None:

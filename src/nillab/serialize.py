@@ -62,21 +62,17 @@ def _matrix(rows, what: str) -> list[list[Fraction]]:
 
 
 def system_to_dict(sys: AffineNilsystem) -> dict:
+    """The file data of ``sys``: T1's record at the top level, T2's as ``second_generator``."""
     ctx = sys.context
-    data = {
-        "algebra": algebra_to_dict(sys.algebra),
-        "symbols": list(ctx.names),
-        "automorphism": _matrix_strs(sys.A),
-        "translation": _coord_records(ctx, sys.g_tau),
-    }
+    data = {"algebra": algebra_to_dict(sys.algebra), "symbols": list(ctx.names)}
     if sys.name:
         data["name"] = sys.name
-    if sys.second is not None:
-        A2, g2 = sys.second
-        data["second_generator"] = {
-            "automorphism": _matrix_strs(A2),
-            "translation": _coord_records(ctx, g2),
-        }
+    for i, (A, g) in enumerate(sys.generators):
+        record = {"automorphism": _matrix_strs(A), "translation": _coord_records(ctx, g)}
+        if i == 0:
+            data.update(record)
+        else:
+            data["second_generator"] = record
     return data
 
 
@@ -86,16 +82,14 @@ def system_from_dict(data: dict) -> AffineNilsystem:
     if type(symbols) is not list or any(type(n) is not str for n in symbols):
         raise ValueError("symbols must be a list of strings, got %r" % (symbols,))
     ctx = SymbolContext(symbols)
-    A = UnipotentAutomorphism(alg, _matrix(data["automorphism"], "automorphism"))
-    g_tau = _coords_from_records(ctx, data["translation"])
-    second = None
+    records = [data]
     if "second_generator" in data:
-        sg = data["second_generator"]
-        A2 = UnipotentAutomorphism(alg, _matrix(sg["automorphism"], "automorphism"))
-        second = (A2, _coords_from_records(ctx, sg["translation"]))
-    return AffineNilsystem(
-        alg, A, g_tau, context=ctx, second=second, name=data.get("name", "")
-    )
+        records.append(data["second_generator"])
+    generators = []
+    for record in records:
+        A = UnipotentAutomorphism(alg, _matrix(record["automorphism"], "automorphism"))
+        generators.append((A, _coords_from_records(ctx, record["translation"])))
+    return AffineNilsystem(alg, generators, context=ctx, name=data.get("name", ""))
 
 
 def save_system(path: str, sys: AffineNilsystem) -> None:

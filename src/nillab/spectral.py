@@ -290,20 +290,19 @@ class AutocorrelationSeries:
 
     The lags fill the box |n_i| <= K_i in row-major order: for one generator
     ``lags`` is the list of ints -K..K, for two the list of (n1, n2) pairs.
-    ``reach`` holds (K_1, ..., K_g), read off the first lag, and ``box`` the
-    values as an array over the box, ``box[K + n] = c(n)``.  Hermitian
-    symmetry c(-n) = conj(c(n)) holds exactly: negative lags are filled from
-    the mirrored estimate.
+    ``reach`` holds (K_1, ..., K_g), one per generator, read off the first
+    lag, and ``box`` the values as an array over the box, ``box[K + n] =
+    c(n)``.  Hermitian symmetry c(-n) = conj(c(n)) holds exactly: negative
+    lags are filled from the mirrored estimate.
     """
 
     lags: list
     values: np.ndarray
     sample_count: int
     seed: int | None
-    generators: int = 1
 
     def __post_init__(self):
-        corner = self.lags[0] if self.generators > 1 else (self.lags[0],)
+        corner = tuple(self.lags[0]) if np.ndim(self.lags[0]) else (self.lags[0],)
         self.reach = tuple(-n for n in corner)
         if len(self.lags) != np.prod([2 * K + 1 for K in self.reach]):
             raise ValueError("lags must fill the box |n_i| <= K_i in row-major order")
@@ -337,18 +336,17 @@ def _orbit(step, pts, reach: int):
 
 def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
     """The numeric system and the N sample points in chunks of ``size`` (lists
-    of coordinate arrays, each chunk drawn when reached), after checking N and
-    then each walk length in ``lags``."""
+    of coordinate arrays, each chunk drawn when reached), after checking N (at
+    most 2^30 in ``haar_chunks``) and then each walk length in ``lags``."""
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
-    if N > 1 << gp.SOBOL_BITS:
-        raise gp.SobolRangeError("at most 2^%d Sobol points, got %d" % (gp.SOBOL_BITS, N))
+    chunks = gp.haar_chunks(sys.algebra.dim, N, seed, size)
     for lag in lags:
         if lag < 0:
             raise ValueError("lag must be nonnegative, got %d" % lag)
         if lag > MAX_LAG:
             raise LagBudgetError("lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG))
-    return sys.numeric(), map(list, gp.haar_chunks(sys.algebra.dim, N, seed, size))
+    return sys.numeric(), map(list, chunks)
 
 
 def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
@@ -364,7 +362,8 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
     n1 > 0, so Hermitian symmetry is exact.  One generator is
     K2 = 0.  Observables with equal terms are evaluated and contracted once,
-    and each of them gets that box; callables are never merged.
+    and each of them gets that box; callables are never merged.  A lag whose
+    sum is not finite (products that overflow) is named in a ValueError.
     """
     num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
@@ -384,19 +383,25 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
 
     # -0.0 is the exact additive identity (+0.0 would turn a sum of -0.0 into +0.0)
     half = np.full((len(parts), K1 + 1, 2 * K2 + 1), complex(-0.0, -0.0))
-    for chunk in chunks:
-        kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
-        for j, z in enumerate(_orbit(num.step2, chunk, 2 * K2)):
-            for q, fz in enumerate(values(z)):
-                kept[q, j] = np.conj(fz)
-            if j == K2:
-                y = z
-        for n1, x in enumerate(_orbit(num.step, y, K1)):
-            # f(y) is conj of the kept row K2, exactly: conj only flips a sign
-            for q, fx in enumerate(values(x) if n1 else map(np.conj, kept[:, K2])):
-                for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
-                    half[q, n1, i] += np.sum(kept[q, 2 * K2 - i] * fx)
-    half /= N
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for chunk in chunks:
+            kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
+            for j, z in enumerate(_orbit(num.step2, chunk, 2 * K2)):
+                for q, fz in enumerate(values(z)):
+                    kept[q, j] = np.conj(fz)
+                if j == K2:
+                    y = z
+            for n1, x in enumerate(_orbit(num.step, y, K1)):
+                # f(y) is conj of the kept row K2, exactly: conj only flips a sign
+                for q, fx in enumerate(values(x) if n1 else map(np.conj, kept[:, K2])):
+                    for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
+                        half[q, n1, i] += np.sum(kept[q, 2 * K2 - i] * fx)
+        half /= N
+    bad = np.argwhere(~np.isfinite(half))
+    if len(bad):
+        q, n1, i = bad[0]
+        lag = "%d" % n1 if K2 == 0 else "%d, %d" % (n1, i - K2)
+        raise ValueError("autocorrelation is not finite: c(%s) = %s" % (lag, half[q, n1, i]))
     for h in half:
         h[0] = _hermitian(h[0, K2:])
     return [_hermitian(half[p]).ravel() for p in where]
@@ -425,12 +430,12 @@ def joint_autocorrelation(sys: AffineNilsystem, f, grid: tuple[int, int], N: int
     sample points z, which walk forward only: 2 K2 steps along T2 and K1
     along T1 (K_i = grid[i]).
     """
-    if sys.second is None:
+    if len(sys.generators) != 2:
         raise ValueError("joint autocorrelation needs a system with two generators")
     K1, K2 = grid
     (values,) = _correlations(sys, [f], K1, K2, N, seed)
     lags = list(product(range(-K1, K1 + 1), range(-K2, K2 + 1)))
-    return AutocorrelationSeries(lags, values, N, seed, generators=2)
+    return AutocorrelationSeries(lags, values, N, seed)
 
 
 def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, int]) -> bool:
@@ -438,7 +443,7 @@ def subtorus_support_test(series: AutocorrelationSeries, direction: tuple[int, i
 
     Checks |c(n1, n2)| <= CALIBRATION["support_tolerance"] whenever k1 n1 + k2 n2 != 0.
     """
-    if series.generators != 2:
+    if len(series.reach) != 2:
         raise ValueError("support test needs a two-generator series")
     k1, k2 = direction
     if (k1, k2) == (0, 0) or gcd(abs(k1), abs(k2)) != 1:
@@ -475,12 +480,13 @@ class AtomMass:
 
 
 def wiener_atom_mass(series: AutocorrelationSeries) -> AtomMass:
-    if series.generators != 1:
+    if len(series.reach) != 1:
         raise ValueError("atom mass is defined for one-generator series")
     if len(series.lags) < 64:
         raise ValueError("need at least 64 lags")
     (K,) = series.reach
-    power = np.abs(series.values) ** 2
+    with np.errstate(over="ignore"):  # |c|^2 past the float range is inf, which classify refuses
+        power = np.abs(series.values) ** 2
 
     def cesaro(k: int) -> float:
         return float(np.mean(power[K - k : K + k + 1]))
@@ -699,24 +705,29 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     Each chunk of sample points is walked and contracted in turn, so only a
     depth x chunk block of orbit values is held.  Each row's estimate at
     halved windows comes from the same :func:`_seminorm_power` call as the
-    row's own, read off its running sum where the levels are equal.
+    row's own, read off its running sum where the levels are equal.  A row
+    whose sum is not finite (products that overflow) is named in a ValueError.
     """
     depth = 1 + sum(H_levels)
     num, chunks = _chunks(sys, N, seed, SEMINORM_CHUNK, (depth - 1,))
     sums = [(0j, 0j)] * len(orders)
-    for chunk in chunks:
-        g = np.empty((depth, len(chunk[0])), dtype=complex)
-        for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
-            g[t] = f(cur)
-        for q, s in enumerate(orders):
-            full, half = _seminorm_power(g, s, H_levels[:s], halved=True)
-            sums[q] = (sums[q][0] + full, sums[q][1] + half)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for chunk in chunks:
+            g = np.empty((depth, len(chunk[0])), dtype=complex)
+            for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
+                g[t] = f(cur)
+            for q, s in enumerate(orders):
+                full, half = _seminorm_power(g, s, H_levels[:s], halved=True)
+                sums[q] = (sums[q][0] + full, sums[q][1] + half)
 
     def estimate(p: complex, s: int) -> float:
         return max(p.real, 0.0) ** (1.0 / 2 ** s) if s else abs(p)
 
     rows = []
     for s, (full, half) in zip(orders, sums):
+        if not np.isfinite([full, half]).all():
+            raise ValueError("U^%d estimate is not finite: %r, at halved windows %r"
+                             % (s, full / N, half / N))
         value = estimate(full / N, s)
         rows.append(SeminormEstimate(value, abs(value - estimate(half / N, s)),
                                      s, H_levels[:s], N, seed))

@@ -31,27 +31,27 @@ class SystemValidationError(ValueError):
 
 
 class AffineNilsystem:
-    """Nilmanifold G0/Gamma0 with the affine map x -> g_tau * A(x).
-
-    ``second`` optionally holds a commuting second generator (A2, g_tau2) for
-    Z^2-systems; commutation is checked exactly at construction.
+    """Nilmanifold G0/Gamma0 acted on by ``generators``: one (A, g) pair, the map
+    x -> g * A(x), or two commuting ones for a Z^2-system; every pair is checked
+    alike, and commutation exactly, at construction.  ``A`` and ``g_tau`` name
+    the first generator: the tau that the structure layer studies.
     """
 
     def __init__(
         self,
         alg: NilLieAlgebra,
-        A: UnipotentAutomorphism,
-        g_tau: list,
+        generators: list[tuple[UnipotentAutomorphism, list]],
         context: SymbolContext | None = None,
-        second: tuple[UnipotentAutomorphism, list] | None = None,
         name: str = "",
         default_assignment: dict[str, float] | None = None,
     ):
         self.algebra = alg
-        self.A = A
-        self.g_tau = list(g_tau)
+        self.generators = [(A, list(g)) for A, g in generators]
+        if not 1 <= len(self.generators) <= 2:
+            raise SystemValidationError(
+                "a system has one or two generators, got %d" % len(self.generators))
+        self.A, self.g_tau = self.generators[0]
         self.context = context if context is not None else SymbolContext(())
-        self.second = second
         self.name = name
         self.default_assignment = dict(default_assignment or {})
         for n, v in self.default_assignment.items():
@@ -59,19 +59,19 @@ class AffineNilsystem:
                 raise SystemValidationError(
                     "default assignment %s=%r must name a symbol of the system and be finite"
                     % (n, v))
-        if len(self.g_tau) != alg.dim:
-            raise SystemValidationError("translation part has wrong dimension")
-        if not A.is_rational or not A.preserves_lattice():
-            raise SystemValidationError("automorphism must preserve the lattice Q-structure")
-        if second is not None:
-            A2, g2 = second
-            if not A2.is_rational or not A2.preserves_lattice():
-                raise SystemValidationError("second automorphism must preserve the lattice")
+        for i, (A, g) in enumerate(self.generators, 1):
+            if len(g) != alg.dim:
+                raise SystemValidationError(
+                    "T%d's translation has %d coordinates, not the algebra dimension %d"
+                    % (i, len(g), alg.dim))
+            if not A.is_rational or not A.preserves_lattice():
+                raise SystemValidationError(
+                    "T%d's automorphism must preserve the lattice Q-structure" % i)
+        if len(self.generators) == 2:
             self._check_commuting()
 
     def _check_commuting(self) -> None:
-        A1, g1 = self.A, self.g_tau
-        A2, g2 = self.second
+        (A1, g1), (A2, g2) = self.generators
         if A1.compose(A2).matrix != A2.compose(A1).matrix:
             raise SystemValidationError("generators' automorphisms do not commute")
         # shift defect of T1 T2 vs T2 T1 must lie in the lattice
@@ -146,23 +146,23 @@ class AffineNilsystem:
 class NumericSystem:
     """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
 
-    Each generator x -> g * A(x) is held as an affine pair (A, g), g evaluated
-    at the system's default assignment and A None when it is the identity,
-    whose table is then skipped.  Its reduced step is
+    Each of the system's generators x -> g * A(x) is held as an affine pair
+    (A, g), g evaluated at the system's default assignment and A None when it
+    is the identity, whose table is then skipped.  Its reduced step is
     :func:`group.affine_step`: one plan per generator and pattern of array
     entries, with g folded in, compiled on the first step and cached in
     ``group`` for every system with an equal generator, so building a
-    NumericSystem compiles nothing.  Only forward steps exist: the
-    estimators walk every orbit forward.
+    NumericSystem compiles nothing.  ``step`` walks the first generator and
+    ``step2`` the second.  Only forward steps exist: the estimators walk
+    every orbit forward.
     """
 
     def __init__(self, sys: AffineNilsystem):
         self.sys = sys
         self.alg = sys.algebra
-        self._forward = self._pair(sys.A, sys.g_tau)
-        self._step1 = gp.affine_step(self.alg, *self._forward)
-        if sys.second is not None:
-            self._step2 = gp.affine_step(self.alg, *self._pair(*sys.second))
+        pairs = [self._pair(A, g) for A, g in sys.generators]
+        self._forward = pairs[0]
+        self._steps = [gp.affine_step(self.alg, *pair) for pair in pairs]
 
     def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
         values = self.sys.default_assignment
@@ -177,10 +177,10 @@ class NumericSystem:
 
     def step(self, pts: list) -> list:
         """pts is a list of m arrays (or floats); returns T(pts), reduced."""
-        return self._step1(pts)
+        return self._steps[0](pts)
 
     def step2(self, pts: list) -> list:
-        return self._step2(pts)
+        return self._steps[1](pts)
 
     def sample_points(self, count: int, seed: int | None) -> list:
         pts = gp.haar_sample(self.alg.dim, count, seed)
@@ -293,7 +293,7 @@ def check_factor_kernel(sys: AffineNilsystem, N: RationalIdeal) -> None:
     """Raise unless N is a rational ideal invariant under every generator's automorphism."""
     if not N.is_rational or not N.is_ideal:
         raise SystemValidationError("kernel must be a rational ideal")
-    for A in [sys.A] + ([sys.second[0]] if sys.second is not None else []):
+    for A, _ in sys.generators:
         if not _automorphism_invariant(A, N):
             raise SystemValidationError("kernel is not invariant under the automorphisms")
 
@@ -324,10 +324,8 @@ def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
         qA = UnipotentAutomorphism(qalg, [[col[k] for col in cols] for k in range(mq)])
         return qA, gp.first_to_second(qalg, project_log(gp.second_to_first(alg, g)))
 
-    qA, qg = induced(sys.A, sys.g_tau)
-    second = induced(*sys.second) if sys.second is not None else None
-    qsys = AffineNilsystem(qalg, qA, qg, context=sys.context, second=second,
-                           name=sys.name + "/N" if sys.name else "",
+    qsys = AffineNilsystem(qalg, [induced(A, g) for A, g in sys.generators],
+                           context=sys.context, name=sys.name + "/N" if sys.name else "",
                            default_assignment=sys.default_assignment)
     return FactorData(kernel=N, quotient=qsys, proj_matrix=proj_rows, nonpivot=nonpivot)
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nillab import algebra as la
@@ -156,15 +157,14 @@ def test_default_assignment_covers_symbols(name):
 def test_symbols_are_the_names_in_the_translations(name):
     """An undeclared symbol in a translation, or a declared one no translation uses, fails."""
     entry = catalog_entry(name)
-    translations = [entry.translation] + ([entry.second[1]] if entry.second else [])
-    named = [t for tr in translations for t in tr if isinstance(t, str)]
+    named = [t for _, tr in entry.generators for t in tr if isinstance(t, str)]
     assert sorted(entry.symbols) == sorted(set(named))
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_serialization_roundtrip(name):
+def test_serialization_roundtrip(name, tmp_path):
     sys = catalog_build(name)
-    path = "/tmp/nillab_roundtrip_%s.json" % name
+    path = str(tmp_path / "roundtrip.json")
     save_system(path, sys)
     back = load_system(path)
     assert back.algebra.dim == sys.algebra.dim
@@ -175,8 +175,25 @@ def test_serialization_roundtrip(name):
     a = sys.apply_exact(x)
     b = back.apply_exact(x)
     assert a == b
-    if sys.second is not None:
-        assert back.second is not None
+    assert [A.matrix for A, _ in back.generators] == [A.matrix for A, _ in sys.generators]
+    assert [g for _, g in back.generators] == [g for _, g in sys.generators]
+
+
+def test_z2_file_keeps_both_generators_and_their_orbits(tmp_path):
+    """A saved and loaded z2_skew holds both generators, and each one's float
+    orbit from the file is bit for bit the catalog system's."""
+    sys = catalog_build("z2_skew", {"alpha": "355/113", "beta": "577/408"})
+    path = str(tmp_path / "z2.json")
+    save_system(path, sys)
+    back = load_system(path)
+    assert len(back.generators) == 2
+    nums = [s.numeric() for s in (sys, back)]
+    for step in ("step", "step2"):
+        pts = [nums[0].sample_points(256, 3)] * 2
+        for _ in range(50):
+            pts = [getattr(num, step)(p) for num, p in zip(nums, pts)]
+            for a, b in zip(*pts):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_observable_for_builds_catalog_observables():

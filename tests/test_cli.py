@@ -263,6 +263,12 @@ _SPECTRUM = ["spectrum", "--system", "rot_torus", "--seed", "7"]
     _SPECTRUM + ["--observable", "257:1", "--samples", "2000"],
     # a parameter given twice
     ["structure", "--system", "skew_torus_ergodic", "--params", "alpha=1", "--params", "alpha=2"],
+    # amplitudes whose products overflow, refused without a RuntimeWarning: a NaN
+    # autocorrelation, a finite c(0) whose atom mass overflows, a NaN U^2 sum
+    _SPECTRUM + ["--observable", "1:1e200"],
+    _SPECTRUM + ["--observable", "1:1e100", "--samples", "1024", "--lags", "64"],
+    ["useminorm", "--system", "rot_torus", "--observable", "1:1e100", "--levels", "8", "8",
+     "--samples", "4096", "--seed", "7"],
 ])
 def test_bad_input_exits_1_with_error_line(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -271,10 +277,9 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
 def test_non_finite_series_exits_1_with_error_line(capsys):
-    """An amplitude whose products overflow gives a NaN series, which
-    classify refuses: one error line and exit 1, not a verdict."""
+    """An amplitude whose products overflow gives a NaN series, which is
+    refused: one error line and exit 1, not a verdict, and no RuntimeWarning."""
     code, out, err = run(capsys, _SPECTRUM + ["--observable", "1:1e200",
                                               "--samples", "1024", "--lags", "64"])
     assert code == 1
@@ -310,13 +315,13 @@ def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch
     assert calls == {"quotient_system": 2, "rational_hull": 4}
 
 
-def _heisenberg3_file(*path, value=None):
-    """heisenberg3's system-file data with the entry at ``path`` set to
+def _system_file(*path, value=None, system="heisenberg3"):
+    """The catalog system's file data with the entry at ``path`` set to
     ``value``, or deleted when ``value`` is None."""
     from nillab.catalog import catalog_build
     from nillab.serialize import system_to_dict
 
-    data = system_to_dict(catalog_build("heisenberg3"))
+    data = system_to_dict(catalog_build(system))
     *outer, last = path
     entry = data
     for key in outer:
@@ -329,35 +334,39 @@ def _heisenberg3_file(*path, value=None):
 
 
 @pytest.mark.parametrize("content", [
-    _heisenberg3_file("automorphism"),
+    _system_file("automorphism"),
     [1, 2],
     # a zero denominator in each kind of rational entry
-    _heisenberg3_file("automorphism", 0, 0, value="1/0"),
-    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 1, value="1/0"),
-    _heisenberg3_file("translation", 0, 0, "coeff", value="1/0"),
+    _system_file("automorphism", 0, 0, value="1/0"),
+    _system_file("algebra", "brackets", 0, "coeffs", 0, 1, value="1/0"),
+    _system_file("translation", 0, 0, "coeff", value="1/0"),
     # translation coordinates are polynomials: exponents are nonnegative integers
-    _heisenberg3_file("translation", 0, 0, "monomial", value=[1.5, 0]),
-    _heisenberg3_file("translation", 0, 0, "monomial", value=[-1, 0]),
+    _system_file("translation", 0, 0, "monomial", value=[1.5, 0]),
+    _system_file("translation", 0, 0, "monomial", value=[-1, 0]),
     # integer fields are JSON integers, never truncated or parsed from text
-    _heisenberg3_file("algebra", "dim", value=3.7),
-    _heisenberg3_file("algebra", "dim", value="3"),
-    _heisenberg3_file("algebra", "step", value=2.5),
-    _heisenberg3_file("algebra", "brackets", 0, "i", value=0.5),
-    _heisenberg3_file("algebra", "brackets", 0, "j", value=1.9),
-    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 0, value=2.2),
+    _system_file("algebra", "dim", value=3.7),
+    _system_file("algebra", "dim", value="3"),
+    _system_file("algebra", "step", value=2.5),
+    _system_file("algebra", "brackets", 0, "i", value=0.5),
+    _system_file("algebra", "brackets", 0, "j", value=1.9),
+    _system_file("algebra", "brackets", 0, "coeffs", 0, 0, value=2.2),
     # a string is not a list of symbol names, one per character
-    _heisenberg3_file("symbols", value="ab"),
+    _system_file("symbols", value="ab"),
     # rationals are text: a JSON number is refused, not taken by its binary value,
     # and a string is not a matrix row, one entry per character
-    _heisenberg3_file("automorphism", 0, 0, value=1),
-    _heisenberg3_file("algebra", "brackets", 0, "coeffs", 0, 1, value=1),
-    _heisenberg3_file("translation", 0, 0, "coeff", value=0.1),
-    _heisenberg3_file("automorphism", 0, value="100"),
+    _system_file("automorphism", 0, 0, value=1),
+    _system_file("algebra", "brackets", 0, "coeffs", 0, 1, value=1),
+    _system_file("translation", 0, 0, "coeff", value=0.1),
+    _system_file("automorphism", 0, value="100"),
+    # T2's translation is checked like T1's: one coordinate per basis vector
+    _system_file("second_generator", "translation", value=[[]], system="z2_skew"),
+    _system_file("second_generator", "translation", value=[[]] * 3, system="z2_skew"),
 ], ids=["no_automorphism", "json_list", "automorphism_1/0", "bracket_1/0",
         "translation_1/0", "fractional_exponent", "negative_exponent", "float_dim",
         "string_dim", "float_step", "float_i", "float_j", "float_k", "string_symbols",
         "number_automorphism_entry", "number_bracket_coefficient",
-        "number_translation_coeff", "string_automorphism_row"])
+        "number_translation_coeff", "string_automorphism_row", "t2_translation_1",
+        "t2_translation_3"])
 def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(content))
@@ -366,6 +375,9 @@ def test_malformed_system_file_exits_1_naming_the_file(capsys, tmp_path, content
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+    if "second_generator" in content:
+        length = len(content["second_generator"]["translation"])
+        assert "T2's translation has %d coordinates, not the algebra dimension 2" % length in err
 
 
 def test_system_file_resolves_params(capsys, tmp_path):

@@ -411,7 +411,7 @@ def test_step_plan_is_bitwise_the_three_tables(data):
     g = data.draw(hst.lists(translation_entries, min_size=m, max_size=m))
     # the float step needs no lattice-preserving A, so it runs on a stand-in
     # with the attributes NumericSystem reads
-    num = st.NumericSystem(SimpleNamespace(algebra=alg, A=A, g_tau=g, second=None,
+    num = st.NumericSystem(SimpleNamespace(algebra=alg, generators=[(A, g)],
                                            default_assignment={}))
     size = data.draw(hst.integers(1, 4))
     x = []
@@ -547,6 +547,16 @@ def test_haar_chunks_are_slices_of_the_whole_draw(m, count, size, seed):
     for lo, chunk in zip(range(0, count, size), chunks):
         assert chunk.dtype == whole.dtype
         assert np.array_equal(chunk, whole[:, lo:lo + size])
+
+
+@pytest.mark.parametrize("m, count, size, error", [
+    (2, 0, 4, ValueError), (2, 8, 3, ValueError), (2, 8, 0, ValueError),
+    (2, (1 << 30) + 1, 4, gp.SobolRangeError), (33, 8, 4, gp.SobolRangeError),
+])
+def test_haar_chunks_checks_its_arguments_when_called(m, count, size, error):
+    """A bad argument raises at the call, before any block is asked for."""
+    with pytest.raises(error):
+        gp.haar_chunks(m, count, 1, size)
 
 
 def test_haar_sample_rejects_out_of_range_draws():

@@ -430,7 +430,7 @@ def test_fejer_density_two_generators_matches_double_sum():
     c = {l: complex(rng.normal(), rng.normal()) for l in lags if l >= (0, 0)}
     c[(0, 0)] = 4.0
     c.update({(-n1, -n2): np.conj(v) for (n1, n2), v in list(c.items())})
-    series = AutocorrelationSeries(lags, np.array([c[l] for l in lags]), 1000, 0, generators=2)
+    series = AutocorrelationSeries(lags, np.array([c[l] for l in lags]), 1000, 0)
     t = np.arange(grid) / grid
     brute = np.zeros((grid, grid))
     for i in range(grid):
@@ -480,6 +480,19 @@ def test_classify_refuses_a_non_finite_series(bad):
     for series in (everywhere, off_zero):
         with pytest.raises(ValueError, match="not finite"):
             classify(series)
+
+
+def test_estimators_name_a_sum_that_is_not_finite():
+    """Products that overflow are refused by the estimator that sums them,
+    naming its estimate, and no RuntimeWarning escapes."""
+    z2 = catalog_build("z2_skew")
+    huge = Observable(2, {(0, 1): 1e200})
+    with pytest.raises(ValueError, match=r"autocorrelation is not finite: c\(0\) = "):
+        autocorrelation(z2, huge, 64, 1024, seed=1)
+    with pytest.raises(ValueError, match=r"autocorrelation is not finite: c\(0, 0\) = "):
+        joint_autocorrelation(z2, huge, (2, 2), 1024, seed=1)
+    with pytest.raises(ValueError, match=r"U\^2 estimate is not finite: "):
+        seminorm_ladder(z2, Observable(2, {(0, 1): 1e100}), (4, 4), 1024, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -872,15 +885,15 @@ def test_joint_autocorrelation_constant():
     sys = catalog_build("z2_skew")
     series = joint_autocorrelation(sys, Observable.constant(2), (6, 6), 1024, seed=10)
     assert np.max(np.abs(series.values - 1.0)) <= 1e-12
-    assert series.generators == 2
+    assert series.reach == (6, 6)
 
 
 def _z2_squared():
     """z2_skew's first generator T1 with T2 = T1^2: a ℤ² system whose second
     generator is a skew map, not a rotation."""
     z2 = catalog_build("z2_skew")
-    return st.AffineNilsystem(z2.algebra, z2.A, z2.g_tau, context=z2.context,
-                              second=(z2.A.compose(z2.A), z2.apply_exact(z2.g_tau)),
+    generators = [(z2.A, z2.g_tau), (z2.A.compose(z2.A), z2.apply_exact(z2.g_tau))]
+    return st.AffineNilsystem(z2.algebra, generators, context=z2.context,
                               default_assignment=z2.default_assignment)
 
 

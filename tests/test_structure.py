@@ -151,7 +151,7 @@ def test_kernel_must_be_invariant_under_every_generator():
     alg = NilLieAlgebra(2, 1, {})
     A1 = UnipotentAutomorphism(alg, [[F(1), F(0)], [F(0), F(1)]])
     A2 = UnipotentAutomorphism(alg, [[F(1), F(0)], [F(1), F(1)]])
-    sys = st.AffineNilsystem(alg, A1, [F(0), F(1, 3)], second=(A2, [F(0), F(1, 5)]))
+    sys = st.AffineNilsystem(alg, [(A1, [F(0), F(1, 3)]), (A2, [F(0), F(1, 5)])])
     N = la.span(alg, [alg.basis_vector(0)])
     with pytest.raises(ValueError):
         st.quotient_system(sys, N)
@@ -175,7 +175,7 @@ def test_full_quotient_is_a_point():
     fac = st.quotient_system(sys, la.full_algebra(sys.algebra))
     assert fac.quotient.algebra.dim == 0 and fac.nonpivot == []
     point = NilLieAlgebra.from_brackets(0, {})
-    sys0 = st.AffineNilsystem(point, UnipotentAutomorphism(point, []), [])
+    sys0 = st.AffineNilsystem(point, [(UnipotentAutomorphism(point, []), [])])
     assert st.discrete_factor_subgroup(sys0).dim == 0
     assert st.leibman_identity_component(sys0).dim == 0
     assert st.leibman_lcs(sys0, 1).dim == 0
@@ -246,9 +246,7 @@ def test_numeric_steps_track_exact_map(name):
     sys = catalog_build(name, {s: RATIONAL_PARAMS[s] for s in catalog_entry(name).symbols})
     alg = sys.algebra
     num = sys.numeric()
-    maps = [(sys.A, sys.g_tau, num.step)]
-    if sys.second is not None:
-        maps.append((*sys.second, num.step2))
+    maps = [(A, g, step) for (A, g), step in zip(sys.generators, (num.step, num.step2))]
     rng = random.Random(5)
     for _ in range(10):
         x = [F(rng.randint(1, 96), 97) for _ in range(alg.dim)]
@@ -272,10 +270,7 @@ def test_orbit_is_bitwise_the_plain_table_loop(name):
     sys = catalog_build(name)
     alg = sys.algebra
     num = sys.numeric()
-    gens = [(num.step, sys.A, sys.g_tau)]
-    if sys.second is not None:
-        gens.append((num.step2, *sys.second))
-    for step, A, g in gens:
+    for step, (A, g) in zip((num.step, num.step2), sys.generators):
         g = [evaluate_scalar(t, sys.default_assignment) for t in g]
         pts = want = num.sample_points(512, 11)
         for _ in range(300):
@@ -337,10 +332,10 @@ def test_step_plans_are_keyed_by_the_translation_bits(monkeypatch):
 ])
 def test_default_assignment_names_symbols_and_is_finite(defaults):
     sys = build("rot_torus")
-    st.AffineNilsystem(sys.algebra, sys.A, sys.g_tau, context=sys.context,
+    st.AffineNilsystem(sys.algebra, sys.generators, context=sys.context,
                        default_assignment={"alpha": 0.25})
     with pytest.raises(st.SystemValidationError, match="default assignment"):
-        st.AffineNilsystem(sys.algebra, sys.A, sys.g_tau, context=sys.context,
+        st.AffineNilsystem(sys.algebra, sys.generators, context=sys.context,
                            default_assignment=defaults)
 
 
@@ -349,6 +344,26 @@ def test_second_generator_must_commute():
     A1 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]])
     A2 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(1), F(1)]])
     zero = [F(0)] * 3
-    st.AffineNilsystem(alg, A1, zero, second=(A1, zero))
+    st.AffineNilsystem(alg, [(A1, zero), (A1, zero)])
     with pytest.raises(st.SystemValidationError, match="automorphisms do not commute"):
-        st.AffineNilsystem(alg, A1, zero, second=(A2, zero))
+        st.AffineNilsystem(alg, [(A1, zero), (A2, zero)])
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_every_translation_has_the_algebra_dimension(length):
+    """T2's translation is checked like T1's, on z2_skew's 2-dim algebra."""
+    z2 = build("z2_skew")
+    (A1, g1), (A2, _) = z2.generators
+    wrong = [F(1, 5)] * length
+    for generators, which in (([(A1, g1), (A2, wrong)], "T2"), ([(A1, wrong)], "T1")):
+        with pytest.raises(st.SystemValidationError,
+                           match="%s's translation has %d coordinates, not the algebra "
+                                 "dimension 2" % (which, length)):
+            st.AffineNilsystem(z2.algebra, generators, context=z2.context)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_a_system_has_one_or_two_generators(count):
+    sys = build("z2_skew")
+    with pytest.raises(st.SystemValidationError, match="one or two generators, got %d" % count):
+        st.AffineNilsystem(sys.algebra, (sys.generators * 2)[:count], context=sys.context)
