@@ -120,8 +120,7 @@ def cmd_structure(config: dict) -> str:
     lines += _basis_lines("derived_leibman", derived_subalgebra(hH))
     k = int(config.get("k", 1))
     lines += _basis_lines("leibman_lcs(k=%d)" % k, st.leibman_lcs(system, k))
-    lines.append("discrete_factor: torus dimension %d"
-                 % system.discrete_factor.quotient.algebra.dim)
+    lines.append("discrete_factor: torus dimension %d" % (system.algebra.dim - J.dim))
     verdict = st.ergodicity_test(system)
     if verdict.ergodic:
         lines.append("ergodicity: ergodic")

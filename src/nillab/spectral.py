@@ -529,9 +529,12 @@ def classify(series: AutocorrelationSeries) -> SpectralReport:
     ValueError when c(0) or the atom mass is not finite."""
     am = wiener_atom_mass(series)
     c0 = series.c0()
-    if not (isfinite(c0) and isfinite(am.value)):
+    if not isfinite(c0):
         raise ValueError("autocorrelation is not finite: c(0) = %r, atom mass = %r"
                          % (c0, am.value))
+    if not isfinite(am.value):
+        raise ValueError("atom mass is not finite: c(0) = %r, but |c(n)|^2 passes the float range"
+                         % c0)
     if am.value >= CALIBRATION["discrete_ratio"] * c0:
         verdict = "discrete"
     elif am.value <= CALIBRATION["continuous_ratio"] * c0:

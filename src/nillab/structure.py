@@ -60,6 +60,8 @@ class AffineNilsystem:
                     "default assignment %s=%r must name a symbol of the system and be finite"
                     % (n, v))
         for i, (A, g) in enumerate(self.generators, 1):
+            if A.alg.key != alg.key:
+                raise SystemValidationError("T%d's automorphism acts on a different algebra" % i)
             if len(g) != alg.dim:
                 raise SystemValidationError(
                     "T%d's translation has %d coordinates, not the algebra dimension %d"
@@ -97,23 +99,28 @@ class AffineNilsystem:
         return la.smallest_ideal_containing(alg, _b_minus_identity(self, alg.basis()))
 
     @cached_property
+    def J(self) -> RationalIdeal:
+        """Kernel of the discrete factor, the rational closure of [tau, G]; built once."""
+        J = la.rational_hull(self.tau_commutator_ideal)
+        check_factor_kernel(self, J)
+        return J
+
+    @cached_property
     def discrete_factor(self) -> "FactorData":
-        """Quotient by J, the rational closure of the tau-commutator ideal: the
-        discrete-spectrum factor; built once."""
-        return quotient_system(self, la.rational_hull(self.tau_commutator_ideal))
+        """Quotient by J: the discrete-spectrum factor; built once, when read."""
+        return quotient_system(self, self.J)
 
     @cached_property
     def leibman_component(self) -> RationalIdeal:
         """Lie algebra of the identity component of the Leibman group; built once.
 
-        Stage 1 is the discrete factor's kernel J; on that factor the induced
-        map is a translation, and stage 2 adds the smallest rational subspace
-        carrying the irrational part of that translation.
+        Stage 1 is J; on the discrete factor the induced map is a translation,
+        read with no quotient built as log g_tau reduced by J's echelon basis (the
+        projection of :func:`factor_projection`, zeros at J's pivots), and stage 2
+        adds the smallest rational subspace carrying its irrational part.
         """
-        fd = self.discrete_factor
-        wbar = gp.second_to_first(fd.quotient.algebra, fd.quotient.g_tau)
-        lifts = [fd.lift_vector(s) for s in _nonconstant_slices(wbar)]
-        hH = la.rational_hull(RationalIdeal(self.algebra, fd.kernel.basis + lifts))
+        w = linalg.reduce_vector(self.J.basis, gp.second_to_first(self.algebra, self.g_tau))
+        hH = la.rational_hull(RationalIdeal(self.algebra, self.J.basis + _nonconstant_slices(w)))
         if not _automorphism_invariant(self.A, hH):
             raise SystemValidationError("Leibman component is not automorphism-invariant")
         return hH
@@ -180,6 +187,8 @@ class NumericSystem:
         return self._steps[0](pts)
 
     def step2(self, pts: list) -> list:
+        if len(self._steps) == 1:
+            raise ValueError("step2 walks a second generator; the system has one generator")
         return self._steps[1](pts)
 
     def sample_points(self, count: int, seed: int | None) -> list:
@@ -214,7 +223,7 @@ def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:
 
 def discrete_factor_subgroup(sys: AffineNilsystem) -> RationalIdeal:
     """Kernel of the discrete-spectrum factor: the rational closure of [tau, G]."""
-    return sys.discrete_factor.kernel
+    return sys.J
 
 
 def _automorphism_invariant(A: UnipotentAutomorphism, V: RationalIdeal) -> bool:
@@ -289,6 +298,16 @@ class FactorData:
         return out
 
 
+def factor_projection(N: RationalIdeal) -> tuple[list[list[Fraction]], list[int]]:
+    """(proj_rows, nonpivot): G0 -> G0/N on first-kind coordinates reduces by N's
+    echelon basis, linear and exact as N is rational with unit pivots, and keeps
+    the surviving coordinates ``nonpivot``."""
+    pivots = N.pivot_columns()
+    nonpivot = [j for j in range(N.parent.dim) if j not in pivots]
+    reduced_basis = [linalg.reduce_vector(N.basis, e) for e in N.parent.basis()]
+    return [[Fraction(r[i]) for r in reduced_basis] for i in nonpivot], nonpivot
+
+
 def check_factor_kernel(sys: AffineNilsystem, N: RationalIdeal) -> None:
     """Raise unless N is a rational ideal invariant under every generator's automorphism."""
     if not N.is_rational or not N.is_ideal:
@@ -304,14 +323,9 @@ def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
     if N.parent is not alg:
         raise SystemValidationError("ideal belongs to a different algebra")
     check_factor_kernel(sys, N)
-    pivots = N.pivot_columns()
-    nonpivot = [j for j in range(alg.dim) if j not in pivots]
+    proj_rows, nonpivot = factor_projection(N)
     mq = len(nonpivot)
-    # projection: reduce a first-kind vector by N's echelon basis, keep nonpivots;
-    # N is rational with unit pivots, so the reduction is linear and exact
     basis = alg.basis()
-    reduced_basis = [linalg.reduce_vector(N.basis, e) for e in basis]
-    proj_rows = [[Fraction(r[i]) for r in reduced_basis] for i in nonpivot]
     project_log = gp.PolynomialMap.linear(proj_rows)
     qalg = NilLieAlgebra.from_brackets(mq, {
         (a, b): dict(enumerate(project_log(alg.bracket(basis[i], basis[j]))))
@@ -350,26 +364,27 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
     """Exact ergodicity decision via the maximal torus factor.
 
     The system is reduced modulo the rational closure of the derived algebra
-    together with the tau-commutator ideal; on the resulting torus the induced
-    map is a rotation, and ergodicity is equivalent to no nonzero integer
-    frequency vector pairing rationally with the rotation coordinates.
+    together with the tau-commutator ideal; that torus has identity charts, so
+    the induced rotation is log g_tau's projection, read with no quotient built,
+    and ergodicity is equivalent to no nonzero integer frequency vector pairing
+    rationally with the rotation coordinates.
     """
     alg = sys.algebra
     derived = la.derived_subalgebra(la.full_algebra(alg))
     tau_ideal = tau_commutator_ideal(sys)
     N = la.rational_hull(RationalIdeal(alg, derived.basis + tau_ideal.basis))
-    fd = quotient_system(sys, N)
-    qalg = fd.quotient.algebra
-    bbar = gp.second_to_first(qalg, fd.quotient.g_tau)
-    slices = _nonconstant_slices(bbar)
-    kernel = linalg.nullspace(slices) if slices else qalg.basis()
+    check_factor_kernel(sys, N)
+    proj_rows, _ = factor_projection(N)
+    bbar = gp.PolynomialMap.linear(proj_rows)(gp.second_to_first(alg, sys.g_tau))
+    # no irrational part: every frequency pairs rationally (the nullspace of a zero row)
+    kernel = linalg.nullspace(_nonconstant_slices(bbar) or [[Fraction(0)] * len(bbar)])
     if not kernel:
         return ErgodicityVerdict(True, None)
     kq = linalg.primitive_integer_vector(kernel[0])
     # pull the character frequency back through the projection (transpose)
     m = alg.dim
     kfull = linalg.primitive_integer_vector([
-        sum((Fraction(fd.proj_matrix[q][j]) * kq[q] for q in range(qalg.dim)), start=Fraction(0))
+        sum((row[j] * kv for row, kv in zip(proj_rows, kq)), start=Fraction(0))
         for j in range(m)
     ])
     # scale so that <k, g_tau> is an integer: the character e(<k, x>) is then

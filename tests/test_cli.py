@@ -287,10 +287,23 @@ def test_non_finite_series_exits_1_with_error_line(capsys):
     assert err.startswith("error: autocorrelation is not finite") and err.count("\n") == 1
 
 
+def test_overflowing_atom_mass_is_named_not_the_series(capsys):
+    """At amplitude 1e100, c(0) = 1e200 is finite but |c(n)|^2 is not: the
+    error line names the atom mass, not the autocorrelation."""
+    code, out, err = run(capsys, _SPECTRUM + ["--observable", "1:1e100",
+                                              "--samples", "1024", "--lags", "64"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: atom mass is not finite: c(0) = 1e+200")
+    assert err.count("\n") == 1
+
+
 def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch):
-    """One report builds two quotients (the discrete factor and the ergodicity
-    torus) and takes four rational hulls (J, the Leibman component, its lcs
-    step and the ergodicity kernel); once the tables are warm, no BCH runs."""
+    """One report builds no quotient system (the Leibman component and the
+    ergodicity test read their factors through the projection, and the torus
+    dimension is dim - dim J) and takes four rational hulls (J, the Leibman
+    component, its lcs step and the ergodicity kernel); once the tables are
+    warm, no BCH runs."""
     from nillab import algebra as la
     from nillab import group as gp
     from nillab import structure as st
@@ -312,7 +325,7 @@ def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch
     assert run(capsys, argv)[0] == 0
     calls.clear()
     assert run(capsys, argv)[0] == 0
-    assert calls == {"quotient_system": 2, "rational_hull": 4}
+    assert calls == {"rational_hull": 4}  # quotient_system: 0 calls
 
 
 def _system_file(*path, value=None, system="heisenberg3"):

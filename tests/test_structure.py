@@ -8,11 +8,12 @@ import pytest
 
 from nillab import algebra as la
 from nillab import group as gp
+from nillab import linalg
 from nillab import structure as st
 from nillab.algebra import NilLieAlgebra
 from nillab.catalog import catalog_build, catalog_entry, catalog_list, substitute_params
 from nillab.group import UnipotentAutomorphism
-from nillab.scalars import evaluate_scalar
+from nillab.scalars import ExtScalar, SymbolContext, evaluate_scalar
 from nillab.spectral import Observable, project_to_factor
 
 import oracles
@@ -20,6 +21,8 @@ import oracles
 F = Fraction
 
 NAMES = [e.name for e in catalog_list()]
+#: Rational stand-ins for the symbols, those of the ``structure`` benchmark workload.
+RATIONAL_PARAMS = {"alpha": "355/113", "beta": "577/408", "y_tau": "265/153", "u_tau": "99/70"}
 
 
 def build(name):
@@ -120,6 +123,82 @@ def test_inclusion_chain_and_bracket_comparison(name):
 # ---------------------------------------------------------------------------
 # Quotient systems
 # ---------------------------------------------------------------------------
+
+
+def _log_g_tau_through(fac):
+    """log g_tau read on a built quotient system, in its own first-kind chart."""
+    return gp.second_to_first(fac.quotient.algebra, fac.quotient.g_tau)
+
+
+def _leibman_through_quotient(sys):
+    """The Leibman component derived on the discrete factor's quotient system."""
+    fac = st.quotient_system(sys, sys.J)
+    lifts = [fac.lift_vector(v) for v in st._nonconstant_slices(_log_g_tau_through(fac))]
+    return la.rational_hull(la.RationalIdeal(sys.algebra, fac.kernel.basis + lifts))
+
+
+def _verdict_through_quotient(sys, N):
+    """The ergodicity verdict derived on the torus quotient system by N."""
+    fac = st.quotient_system(sys, N)
+    qalg = fac.quotient.algebra
+    bbar = _log_g_tau_through(fac)
+    slices = st._nonconstant_slices(bbar)
+    kernel = linalg.nullspace(slices) if slices else qalg.basis()
+    if not kernel:
+        return st.ErgodicityVerdict(True, None)
+    kq = linalg.primitive_integer_vector(kernel[0])
+    kfull = linalg.primitive_integer_vector([
+        sum((fac.proj_matrix[q][j] * kq[q] for q in range(qalg.dim)), start=F(0))
+        for j in range(sys.algebra.dim)])
+    pairing = sum((kv * (t.constant_term() if isinstance(t, ExtScalar) else F(t))
+                   for kv, t in zip(kq, bbar)), start=F(0))
+    return st.ErgodicityVerdict(False, [pairing.denominator * v for v in kfull])
+
+
+def _diagonal_skew():
+    """T(x, y, z) = (x + alpha, y + x, z + x) on T^3: J is spanned by (0, 1, 1),
+    not by coordinate axes as on every catalog system, so the projection has
+    an entry off the surviving axes, and z - y is an invariant character."""
+    alg = NilLieAlgebra(3, 1, {})
+    A = UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]])
+    ctx = SymbolContext(("alpha",))
+    return st.AffineNilsystem(alg, [(A, [ctx.symbol("alpha"), ctx.constant(0), ctx.constant(0)])],
+                              context=ctx, name="diagonal_skew")
+
+
+@pytest.mark.parametrize("params", [False, True], ids=["symbolic", "rational"])
+@pytest.mark.parametrize("name", NAMES + ["diagonal_skew"])
+def test_factors_read_by_projection_match_the_quotient_systems(name, params):
+    """The projected log g_tau, the Leibman component and the ergodicity
+    verdict, which no longer build a quotient system, equal the same values
+    derived through ``quotient_system``, on every catalog system and a skew
+    torus whose kernel is not a coordinate subspace, with the symbols formal
+    and at the structure workload's rational parameters."""
+    sys = _diagonal_skew() if name == "diagonal_skew" else catalog_build(name)
+    if params:
+        sys = substitute_params(sys, {s: RATIONAL_PARAMS[s] for s in sys.context.names})
+    alg = sys.algebra
+    torus = la.rational_hull(la.RationalIdeal(
+        alg, la.derived_subalgebra(la.full_algebra(alg)).basis + sys.tau_commutator_ideal.basis))
+    for N in (sys.J, torus):
+        proj_rows, nonpivot = st.factor_projection(N)
+        # P is the projection along N onto the surviving coordinates: it keeps
+        # each surviving axis and sends N to 0, which fixes it uniquely
+        assert [[row[i] for i in nonpivot] for row in proj_rows] == oracles.eye(len(nonpivot))
+        assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in proj_rows for v in N.basis)
+        fac = st.quotient_system(sys, N)
+        assert (proj_rows, nonpivot) == (fac.proj_matrix, fac.nonpivot)
+        log_g = gp.second_to_first(alg, sys.g_tau)
+        projected = gp.PolynomialMap.linear(proj_rows)(log_g)
+        assert exact_equal(projected, _log_g_tau_through(fac))
+        assert len(projected) == fac.quotient.algebra.dim == alg.dim - N.dim
+        # the Leibman component's lifted read: zeros at N's pivots, P log g_tau elsewhere
+        lifted = linalg.reduce_vector(N.basis, log_g)
+        assert exact_equal(lifted, fac.lift_vector(projected)) and len(lifted) == alg.dim
+    assert rows_of(sys.leibman_component) == rows_of(_leibman_through_quotient(sys))
+    verdict = st.ergodicity_test(sys)
+    expected = _verdict_through_quotient(sys, torus)
+    assert (verdict.ergodic, verdict.witness) == (expected.ergodic, expected.witness)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg4", "skew_torus_ergodic"])
@@ -235,9 +314,6 @@ def test_nonergodic_witness_character_is_invariant(name):
         tx = sys.apply_exact(x)
         diff = sum((w[i] * (tx[i] - x[i]) for i in range(len(w))), start=F(0))
         assert F(diff).denominator == 1
-
-
-RATIONAL_PARAMS = {"alpha": "355/113", "beta": "577/408", "y_tau": "265/153", "u_tau": "99/70"}
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -367,3 +443,21 @@ def test_a_system_has_one_or_two_generators(count):
     sys = build("z2_skew")
     with pytest.raises(st.SystemValidationError, match="one or two generators, got %d" % count):
         st.AffineNilsystem(sys.algebra, (sys.generators * 2)[:count], context=sys.context)
+
+
+@pytest.mark.parametrize("which", ["T1", "T2"])
+def test_automorphism_must_act_on_the_system_algebra(which):
+    """heisenberg3's automorphism on z2_skew's 2-dim algebra is refused, as
+    either generator, before any structure object reads it."""
+    z2, h3 = build("z2_skew"), build("heisenberg3")
+    (A1, g1), (_, g2) = z2.generators
+    generators = [(h3.A, g1)] if which == "T1" else [(A1, g1), (h3.A, g2)]
+    with pytest.raises(st.SystemValidationError,
+                       match="%s's automorphism acts on a different algebra" % which):
+        st.AffineNilsystem(z2.algebra, generators, context=z2.context)
+
+
+def test_step2_needs_a_second_generator():
+    num = build("rot_torus").numeric()
+    with pytest.raises(ValueError, match="the system has one generator"):
+        num.step2([0.5])
