@@ -349,6 +349,27 @@ def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
     return sys.numeric(), map(list, chunks)
 
 
+def _same_bits(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether two float arrays hold the same bits: the first entries filter,
+    the int64 views decide (so 0.0 and -0.0 differ)."""
+    return u[0] == v[0] and np.array_equal(u.view(np.int64), v.view(np.int64))
+
+
+def _walk(step, pts, reach: int, reads: list):
+    """The points of :func:`_orbit`, each with the parts to evaluate there: None
+    (every part) at pts, then a flag per part, set for a callable (None in
+    ``reads``) and for a part that reads a coordinate whose bits the step changed.
+    """
+    watched = sorted(set().union(*(r for r in reads if r is not None)))
+    prev = fresh = None
+    for pts in _orbit(step, pts, reach):
+        if prev is not None:
+            moved = {j for j in watched if not _same_bits(prev[j], pts[j])}
+            fresh = [r is None or not r.isdisjoint(moved) for r in reads]
+        prev = pts  # the previous point is released before the new one is evaluated
+        yield pts, fresh
+
+
 def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
                   seed) -> list[np.ndarray]:
     """Row-major boxes of c_q(n1, n2), |n1| <= K1 and |n2| <= K2, one per observable.
@@ -364,6 +385,14 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     K2 = 0.  Observables with equal terms are evaluated and contracted once,
     and each of them gets that box; callables are never merged.  A lag whose
     sum is not finite (products that overflow) is named in a ValueError.
+
+    Within a walk, an Observable part whose coordinates (those its terms
+    read) all kept their bits in the step is not evaluated: its kept row is
+    the previous row, and along T1 its previous lag sums are added again.
+    The same bits give the same values and sums, so the result is bit for
+    bit that of evaluating every part at every step.  Every part is evaluated
+    at the first point of each chunk's walks, and at T1's first step, since
+    row n1 = 0 holds only the lags n2 >= 0.  Callables run at every step.
     """
     num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
@@ -373,29 +402,41 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
             slot[key] = len(parts)
             parts.append(f)
         where.append(slot[key])
-    obs = [f for f in parts if isinstance(f, Observable)]
+    reads = [{j for k in f.terms for j, kj in enumerate(k) if kj}
+             if isinstance(f, Observable) else None for f in parts]
 
-    def values(pts: list) -> list:
-        # the Observables share one evaluation; callables run one by one in
-        # list order, so a complement still sees its projection's batch last
-        shared = iter(evaluate_observables(obs, pts))
-        return [next(shared) if isinstance(f, Observable) else f(pts) for f in parts]
+    def values(pts: list, fresh) -> list:
+        # the fresh Observables share one evaluation; callables run one by one in
+        # list order, so a complement still sees its projection's batch last;
+        # a part that is not fresh gets None
+        fresh = fresh or [True] * len(parts)
+        obs = [f for f, r, new in zip(parts, reads, fresh) if new and r is not None]
+        shared = iter(evaluate_observables(obs, pts) if obs else ())
+        return [(next(shared) if r is not None else f(pts)) if new else None
+                for f, r, new in zip(parts, reads, fresh)]
 
     # -0.0 is the exact additive identity (+0.0 would turn a sum of -0.0 into +0.0)
     half = np.full((len(parts), K1 + 1, 2 * K2 + 1), complex(-0.0, -0.0))
+    sums = [[]] * len(parts)  # each part's lag sums i = lo..2 K2 at its last evaluation
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
-            for j, z in enumerate(_orbit(num.step2, chunk, 2 * K2)):
-                for q, fz in enumerate(values(z)):
-                    kept[q, j] = np.conj(fz)
+            for j, (z, fresh) in enumerate(_walk(num.step2, chunk, 2 * K2, reads)):
+                for q, fz in enumerate(values(z, fresh)):
+                    kept[q, j] = kept[q, j - 1] if fz is None else np.conj(fz)
                 if j == K2:
                     y = z
-            for n1, x in enumerate(_orbit(num.step, y, K1)):
-                # f(y) is conj of the kept row K2, exactly: conj only flips a sign
-                for q, fx in enumerate(values(x) if n1 else map(np.conj, kept[:, K2])):
-                    for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
-                        half[q, n1, i] += np.sum(kept[q, 2 * K2 - i] * fx)
+            for n1, (x, fresh) in enumerate(_walk(num.step, y, K1, reads)):
+                lo = K2 if n1 == 0 else 0  # i = K2 + n2
+                # f(y) is conj of the kept row K2, exactly: conj only flips a sign;
+                # row 0 holds only the lags i >= K2, so step 1 evaluates every part
+                for q, fx in enumerate(values(x, fresh if n1 > 1 else None) if n1
+                                       else map(np.conj, kept[:, K2])):
+                    if fx is not None:
+                        sums[q] = [np.sum(kept[q, 2 * K2 - i] * fx) for i in range(lo, 2 * K2 + 1)]
+                    for i, s in enumerate(sums[q], lo):
+                        half[q, n1, i] += s
+            del kept  # freed before the next chunk's block is allocated
         half /= N
     bad = np.argwhere(~np.isfinite(half))
     if len(bad):
@@ -722,6 +763,7 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
             for q, s in enumerate(orders):
                 full, half = _seminorm_power(g, s, H_levels[:s], halved=True)
                 sums[q] = (sums[q][0] + full, sums[q][1] + half)
+            del g  # freed before the next chunk's block is allocated
 
     def estimate(p: complex, s: int) -> float:
         return max(p.real, 0.0) ** (1.0 / 2 ** s) if s else abs(p)
