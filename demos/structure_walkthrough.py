@@ -39,6 +39,5 @@ print("Ergodicity verdict: %r" % verdict)
 print()
 
 print("The discrete-spectrum factor is the quotient by the closure:")
-fac = sys.discrete_factor  # built once with J, its kernel
-print("  factor torus dimension %d, surviving coordinates %s"
-      % (fac.quotient.algebra.dim, fac.nonpivot))
+_, nonpivot = st.factor_projection(sys.J)  # the coordinates that survive J
+print("  factor torus dimension %d, surviving coordinates %s" % (len(nonpivot), nonpivot))

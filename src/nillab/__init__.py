@@ -36,12 +36,11 @@ from .group import (
 from .structure import (
     AffineNilsystem,
     ErgodicityVerdict,
-    FactorData,
     discrete_factor_subgroup,
     ergodicity_test,
+    factor_projection,
     leibman_identity_component,
     leibman_lcs,
-    quotient_system,
     rational_closure_J,
     tau_commutator_ideal,
     total_conjugation,

@@ -47,19 +47,6 @@ class CatalogEntry:
         return catalog_build(self.name, params)
 
 
-def _system(entry: CatalogEntry, ctx: SymbolContext) -> AffineNilsystem:
-    """The entry's system, its symbols formal in ``ctx``."""
-    alg = NilLieAlgebra(*entry.algebra)
-
-    def generator(matrix, translation):
-        A = (identity_automorphism(alg) if matrix is None else
-             UnipotentAutomorphism(alg, [[Fraction(x) for x in row] for row in matrix]))
-        return A, [ctx.symbol(t) if isinstance(t, str) else ctx.constant(t) for t in translation]
-
-    return AffineNilsystem(alg, [generator(A, g) for A, g in entry.generators], context=ctx,
-                           name=entry.name, default_assignment=entry.default_assignment)
-
-
 _ENTRIES = [
     CatalogEntry(
         name="skew_torus_nonergodic",
@@ -221,9 +208,19 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def catalog_build(name: str, params: dict | None = None) -> AffineNilsystem:
-    """Instantiate a catalog system, its symbols resolved by :func:`substitute_params`."""
+    """Instantiate a catalog system, its symbols resolved as :func:`substitute_params`
+    resolves them; the system is constructed and validated once."""
     entry = catalog_entry(name)
-    return substitute_params(_system(entry, SymbolContext(entry.symbols)), params)
+    alg = NilLieAlgebra(*entry.algebra)
+    ctx = SymbolContext(entry.symbols)
+    generators = [(identity_automorphism(alg) if A is None else
+                   UnipotentAutomorphism(alg, [[Fraction(x) for x in row] for row in A]),
+                   [ctx.symbol(t) if isinstance(t, str) else ctx.constant(t) for t in g])
+                  for A, g in entry.generators]
+    context, generators, defaults = _resolve(entry.name, ctx, generators,
+                                             entry.default_assignment, params)
+    return AffineNilsystem(alg, generators, context=context, name=entry.name,
+                           default_assignment=defaults)
 
 
 def _rational(name: str, value) -> Fraction:
@@ -234,6 +231,29 @@ def _rational(name: str, value) -> Fraction:
         raise ValueError("parameter %r must be a rational or 'symbolic', got %r" % (name, value))
 
 
+def _resolve(name: str, ctx: SymbolContext, generators: list, defaults: dict,
+             params: dict | None) -> tuple[SymbolContext, list, dict]:
+    """(context, generators, default assignment) of system ``name`` with its
+    symbols resolved by ``params``, as :func:`substitute_params` documents;
+    ``ctx`` itself when no symbol is substituted."""
+    if params is None:
+        return ctx, generators, defaults
+    symbols = ctx.names
+    unknown = set(params) - set(symbols)
+    if unknown:
+        raise ValueError("unknown parameters %r for %r" % (sorted(unknown), name))
+    missing = set(symbols) - set(params)
+    if missing:
+        raise ValueError("missing parameters %r for %r" % (sorted(missing), name))
+    subst = {n: _rational(n, v) for n, v in params.items() if v != "symbolic"}
+    if not subst:
+        return ctx, generators, defaults
+    kept = tuple(n for n in symbols if n not in subst)
+    generators = [(A, [substitute_rational(t, subst) for t in g]) for A, g in generators]
+    return (SymbolContext(kept), generators,
+            {n: v for n, v in defaults.items() if n in kept})
+
+
 def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsystem:
     """``sys`` with its symbols resolved.
 
@@ -241,22 +261,11 @@ def substitute_params(sys: AffineNilsystem, params: dict | None) -> AffineNilsys
     formal) or to an exact rational, which is substituted exactly.  ``None``
     keeps every symbol formal.
     """
-    if params is None:
+    ctx, generators, defaults = _resolve(sys.name, sys.context, sys.generators,
+                                         sys.default_assignment, params)
+    if ctx is sys.context:
         return sys
-    symbols = sys.context.names
-    unknown = set(params) - set(symbols)
-    if unknown:
-        raise ValueError("unknown parameters %r for %r" % (sorted(unknown), sys.name))
-    missing = set(symbols) - set(params)
-    if missing:
-        raise ValueError("missing parameters %r for %r" % (sorted(missing), sys.name))
-    subst = {n: _rational(n, v) for n, v in params.items() if v != "symbolic"}
-    if not subst:
-        return sys
-    kept = tuple(n for n in symbols if n not in subst)
-    generators = [(A, [substitute_rational(t, subst) for t in g]) for A, g in sys.generators]
-    defaults = {n: v for n, v in sys.default_assignment.items() if n in kept}
-    return AffineNilsystem(sys.algebra, generators, context=SymbolContext(kept), name=sys.name,
+    return AffineNilsystem(sys.algebra, generators, context=ctx, name=sys.name,
                            default_assignment=defaults)
 
 

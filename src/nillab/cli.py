@@ -19,6 +19,7 @@ import json
 import os
 import sys as _sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 from . import spectral as sp
@@ -235,7 +236,9 @@ def cmd_verify(config: dict | None = None) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused: parsing leaves it unchanged."""
     p = _Parser(prog="nillab", description="nilsystem structure and spectrum laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -5,7 +5,8 @@ is a lattice-preserving unipotent automorphism.  This realizes translation by
 tau on the semidirect extension G = G0 x| Z, so the conjugation derivative is
 B = Ad_{g_tau} o A.  The module computes the commutator ideal of tau, its
 rational closure (the discrete-spectrum kernel), the Leibman group's identity
-component, the factor tower, quotient systems, and an exact ergodicity test.
+component, the factor tower, the projection onto a factor, and an exact
+ergodicity test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -102,13 +102,8 @@ class AffineNilsystem:
     def J(self) -> RationalIdeal:
         """Kernel of the discrete factor, the rational closure of [tau, G]; built once."""
         J = la.rational_hull(self.tau_commutator_ideal)
-        check_factor_kernel(self, J)
+        _check_invariant(self, J)
         return J
-
-    @cached_property
-    def discrete_factor(self) -> "FactorData":
-        """Quotient by J: the discrete-spectrum factor; built once, when read."""
-        return quotient_system(self, self.J)
 
     @cached_property
     def leibman_component(self) -> RationalIdeal:
@@ -261,43 +256,6 @@ def leibman_lcs(sys: AffineNilsystem, k: int) -> RationalIdeal:
     return cur
 
 
-# ---------------------------------------------------------------------------
-# Quotient systems
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FactorData:
-    """Quotient of an affine nilsystem by a rational invariant ideal.
-
-    ``proj_matrix`` acts on first-kind coordinates; ``nonpivot`` lists the
-    parent coordinates that survive as quotient coordinates.
-    """
-
-    kernel: RationalIdeal
-    quotient: AffineNilsystem
-    proj_matrix: list[list[Fraction]]
-    nonpivot: list[int]
-
-    def project_log(self, w: list) -> list:
-        return gp.PolynomialMap.linear(self.proj_matrix)(w)
-
-    def project_point(self, x: list) -> list:
-        """Second-kind coordinates downstairs of a point given upstairs."""
-        parent = self.kernel.parent
-        qalg = self.quotient.algebra
-        w = gp.second_to_first(parent, x)
-        return gp.first_to_second(qalg, self.project_log(w))
-
-    def lift_vector(self, v: list) -> list:
-        """Section of a quotient first-kind vector: insert zeros at kernel pivots."""
-        parent_dim = self.kernel.parent.dim
-        out = [Fraction(0)] * parent_dim
-        for q, i in enumerate(self.nonpivot):
-            out[i] = v[q]
-        return out
-
-
 def factor_projection(N: RationalIdeal) -> tuple[list[list[Fraction]], list[int]]:
     """(proj_rows, nonpivot): G0 -> G0/N on first-kind coordinates reduces by N's
     echelon basis, linear and exact as N is rational with unit pivots, and keeps
@@ -312,36 +270,14 @@ def check_factor_kernel(sys: AffineNilsystem, N: RationalIdeal) -> None:
     """Raise unless N is a rational ideal invariant under every generator's automorphism."""
     if not N.is_rational or not N.is_ideal:
         raise SystemValidationError("kernel must be a rational ideal")
-    for A, _ in sys.generators:
-        if not _automorphism_invariant(A, N):
-            raise SystemValidationError("kernel is not invariant under the automorphisms")
+    _check_invariant(sys, N)
 
 
-def quotient_system(sys: AffineNilsystem, N: RationalIdeal) -> FactorData:
-    """Validated quotient system on G0/N with the induced automorphism and shift."""
-    alg = sys.algebra
-    if N.parent is not alg:
-        raise SystemValidationError("ideal belongs to a different algebra")
-    check_factor_kernel(sys, N)
-    proj_rows, nonpivot = factor_projection(N)
-    mq = len(nonpivot)
-    basis = alg.basis()
-    project_log = gp.PolynomialMap.linear(proj_rows)
-    qalg = NilLieAlgebra.from_brackets(mq, {
-        (a, b): dict(enumerate(project_log(alg.bracket(basis[i], basis[j]))))
-        for (a, i), (b, j) in combinations(enumerate(nonpivot), 2)
-    })
-
-    def induced(A: UnipotentAutomorphism, g: list) -> tuple[UnipotentAutomorphism, list]:
-        """The map x -> g A(x) of the quotient: A on the surviving basis, g projected."""
-        cols = [project_log(A.apply_vector(alg.basis_vector(i))) for i in nonpivot]
-        qA = UnipotentAutomorphism(qalg, [[col[k] for col in cols] for k in range(mq)])
-        return qA, gp.first_to_second(qalg, project_log(gp.second_to_first(alg, g)))
-
-    qsys = AffineNilsystem(qalg, [induced(A, g) for A, g in sys.generators],
-                           context=sys.context, name=sys.name + "/N" if sys.name else "",
-                           default_assignment=sys.default_assignment)
-    return FactorData(kernel=N, quotient=qsys, proj_matrix=proj_rows, nonpivot=nonpivot)
+def _check_invariant(sys: AffineNilsystem, N: RationalIdeal) -> None:
+    """Raise unless N is invariant under every generator's automorphism: all
+    that a rational hull, a rational ideal by construction, needs checked."""
+    if not all(_automorphism_invariant(A, N) for A, _ in sys.generators):
+        raise SystemValidationError("kernel is not invariant under the automorphisms")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +309,7 @@ def ergodicity_test(sys: AffineNilsystem) -> ErgodicityVerdict:
     derived = la.derived_subalgebra(la.full_algebra(alg))
     tau_ideal = tau_commutator_ideal(sys)
     N = la.rational_hull(RationalIdeal(alg, derived.basis + tau_ideal.basis))
-    check_factor_kernel(sys, N)
+    _check_invariant(sys, N)
     proj_rows, _ = factor_projection(N)
     bbar = gp.PolynomialMap.linear(proj_rows)(gp.second_to_first(alg, sys.g_tau))
     # no irrational part: every frequency pairs rationally (the nullspace of a zero row)

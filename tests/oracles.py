@@ -15,16 +15,25 @@ with them bit for bit.  ``bracket_dense``, ``jacobi_failure_dense``,
 ``automorphism_failure_dense``, ``matmul_dense``, ``echelon_dense``,
 ``reduce_vector_dense`` and ``polynomial_map_exact`` are the dense forms of
 the library's exact kernels, which form only the products with no zero factor
-and must return equal values of equal types.
+and must return equal values of equal types.  ``quotient_system`` derives a
+factor as a system of its own (quotient algebra, induced automorphisms and
+shifts, its projection taken from N's echelon basis here): the reference for
+``structure.factor_projection``, through which the library reads every factor.
 """
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from nillab import spectral
+from nillab import group as gp
+from nillab import linalg, spectral
+from nillab import structure as st
+from nillab.algebra import NilLieAlgebra, RationalIdeal
+from nillab.group import UnipotentAutomorphism
 from nillab.scalars import ExtScalar
 
 
@@ -413,3 +422,70 @@ def polynomial_map_exact(pmap, values, floors_at=None):
             values[floors_at + i], acc = k, acc - k
         out.append(acc)
     return out if floors_at is None else (out, values[floors_at:])
+
+
+@dataclass
+class FactorData:
+    """Quotient of an affine nilsystem by a rational invariant ideal.
+
+    ``proj_matrix`` acts on first-kind coordinates; ``nonpivot`` lists the
+    parent coordinates that survive as quotient coordinates.
+    """
+
+    kernel: RationalIdeal
+    quotient: st.AffineNilsystem
+    proj_matrix: list
+    nonpivot: list
+
+    def project_log(self, w):
+        return gp.PolynomialMap.linear(self.proj_matrix)(w)
+
+    def project_point(self, x):
+        """Second-kind coordinates downstairs of a point given upstairs."""
+        w = gp.second_to_first(self.kernel.parent, x)
+        return gp.first_to_second(self.quotient.algebra, self.project_log(w))
+
+    def lift_vector(self, v):
+        """Section of a quotient first-kind vector: insert zeros at kernel pivots."""
+        out = [Fraction(0)] * self.kernel.parent.dim
+        for q, i in enumerate(self.nonpivot):
+            out[i] = v[q]
+        return out
+
+
+def quotient_system(sys, N):
+    """Validated quotient system on G0/N with the induced automorphism and
+    shift; N must be a rational ideal invariant under every generator."""
+    alg = sys.algebra
+    if N.parent is not alg:
+        raise st.SystemValidationError("ideal belongs to a different algebra")
+    st.check_factor_kernel(sys, N)
+    pivots = N.pivot_columns()
+    nonpivot = [j for j in range(alg.dim) if j not in pivots]
+    mq = len(nonpivot)
+    # reduce a first-kind vector by N's echelon basis, keep the nonpivots; N is
+    # rational with unit pivots, so the reduction is linear and exact
+    basis = alg.basis()
+    reduced_basis = [linalg.reduce_vector(N.basis, e) for e in basis]
+    proj_rows = [[Fraction(r[i]) for r in reduced_basis] for i in nonpivot]
+    project_log = gp.PolynomialMap.linear(proj_rows)
+    qalg = NilLieAlgebra.from_brackets(mq, {
+        (a, b): dict(enumerate(project_log(alg.bracket(basis[i], basis[j]))))
+        for (a, i), (b, j) in combinations(enumerate(nonpivot), 2)
+    })
+
+    def induced(A, g):
+        """The map x -> g A(x) of the quotient: A on the surviving basis, g projected."""
+        cols = [project_log(A.apply_vector(alg.basis_vector(i))) for i in nonpivot]
+        qA = UnipotentAutomorphism(qalg, [[col[k] for col in cols] for k in range(mq)])
+        return qA, gp.first_to_second(qalg, project_log(gp.second_to_first(alg, g)))
+
+    qsys = st.AffineNilsystem(qalg, [induced(A, g) for A, g in sys.generators],
+                              context=sys.context, name=sys.name + "/N" if sys.name else "",
+                              default_assignment=sys.default_assignment)
+    return FactorData(kernel=N, quotient=qsys, proj_matrix=proj_rows, nonpivot=nonpivot)
+
+
+def discrete_factor(sys):
+    """The discrete-spectrum factor: the quotient system by J."""
+    return quotient_system(sys, sys.J)

@@ -10,7 +10,8 @@ from nillab import algebra as la
 from nillab import linalg
 from nillab import group as gp
 from nillab import structure as st
-from nillab.catalog import catalog_build, catalog_entry, catalog_list, observable_for
+from nillab.catalog import (catalog_build, catalog_entry, catalog_list, observable_for,
+                            substitute_params)
 from nillab.serialize import load_system, save_system
 
 from oracles import H4_UNITS, psi_matrix
@@ -105,7 +106,7 @@ def test_tau_commutator_ideal_is_built_once_per_system(name):
 def test_discrete_factor_and_leibman_component_are_built_once_per_system(name):
     sys = catalog_build(name)
     J = st.discrete_factor_subgroup(sys)
-    assert st.discrete_factor_subgroup(sys) is J is sys.discrete_factor.kernel
+    assert st.discrete_factor_subgroup(sys) is J is sys.J
     assert J.equals(la.rational_hull(st.tau_commutator_ideal(sys)))
     hH = st.leibman_identity_component(sys)
     assert st.leibman_identity_component(sys) is hH
@@ -140,6 +141,29 @@ def test_catalog_build_parameter_validation():
     assert not verdict.ergodic
     # e(3x) is genuinely invariant under rotation by 1/3
     assert [F(v) for v in verdict.witness] == [F(3)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["rational", "one_rational"])
+@pytest.mark.parametrize("name", [n for n in NAMES if catalog_entry(n).symbols])
+def test_catalog_build_with_params_constructs_one_system(name, mixed, monkeypatch):
+    """With rational params, catalog_build constructs and validates one
+    system, equal to the symbolic system with the params substituted."""
+    symbols = catalog_entry(name).symbols
+    params = {s: "symbolic" if mixed and i else "1/%d" % (i + 3) for i, s in enumerate(symbols)}
+    want = substitute_params(catalog_build(name), params)
+    init, built = st.AffineNilsystem.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(st.AffineNilsystem, "__init__", counted)
+    sys = catalog_build(name, params)
+    assert built == [sys]
+    assert [(A.matrix, repr(g)) for A, g in sys.generators] == [
+        (A.matrix, repr(g)) for A, g in want.generators]
+    assert (sys.context.names, sys.default_assignment, sys.name) == (
+        want.context.names, want.default_assignment, want.name)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +279,25 @@ def test_bad_input_exits_1_with_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_parser_is_built_once_and_a_bad_flag_leaves_it_unchanged(capsys):
+    """One parser serves every call in a process: after a bad flag (exit 1,
+    one error line), a good command prints what it prints in a fresh process."""
+    from nillab.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    code, out, err = run(capsys, ["structure", "--params", "alpha=1/3", "--no-such-flag"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    argv = ["structure", "--system", "heisenberg3", "--params", "alpha=1/2",
+            "--params", "beta=symbolic"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "nillab.cli"] + argv, capture_output=True,
+                           text=True, cwd=root)
+    assert (fresh.returncode, fresh.stdout) == (0, out)
+
+
 def test_non_finite_series_exits_1_with_error_line(capsys):
     """An amplitude whose products overflow gives a NaN series, which is
     refused: one error line and exit 1, not a verdict, and no RuntimeWarning."""
@@ -299,14 +320,20 @@ def test_overflowing_atom_mass_is_named_not_the_series(capsys):
 
 
 def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch):
-    """One report builds no quotient system (the Leibman component and the
-    ergodicity test read their factors through the projection, and the torus
-    dimension is dim - dim J) and takes four rational hulls (J, the Leibman
-    component, its lcs step and the ergodicity kernel); once the tables are
-    warm, no BCH runs."""
+    """The library has no quotient system to build (the Leibman component and
+    the ergodicity test read their factors through the projection, and the
+    torus dimension is dim - dim J); one report takes four rational hulls (J,
+    the Leibman component, its lcs step and the ergodicity kernel), and once
+    the tables are warm, no BCH runs."""
+    import nillab
     from nillab import algebra as la
     from nillab import group as gp
     from nillab import structure as st
+
+    for module in (nillab, st):
+        for name in ("quotient_system", "FactorData", "discrete_factor"):
+            assert not hasattr(module, name)
+    assert not hasattr(st.AffineNilsystem, "discrete_factor")
 
     calls = {}
 
@@ -319,13 +346,13 @@ def test_structure_report_derives_each_structure_object_once(capsys, monkeypatch
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((st, "quotient_system"), (la, "rational_hull"), (gp, "bch")):
+    for module, name in ((la, "rational_hull"), (gp, "bch")):
         counted(module, name)
     argv = ["structure", "--system", "heisenberg4"]
     assert run(capsys, argv)[0] == 0
     calls.clear()
     assert run(capsys, argv)[0] == 0
-    assert calls == {"rational_hull": 4}  # quotient_system: 0 calls
+    assert calls == {"rational_hull": 4}
 
 
 def _system_file(*path, value=None, system="heisenberg3"):

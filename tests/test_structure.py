@@ -121,7 +121,7 @@ def test_inclusion_chain_and_bracket_comparison(name):
 
 
 # ---------------------------------------------------------------------------
-# Quotient systems
+# Factors, against the oracle quotient systems
 # ---------------------------------------------------------------------------
 
 
@@ -132,14 +132,14 @@ def _log_g_tau_through(fac):
 
 def _leibman_through_quotient(sys):
     """The Leibman component derived on the discrete factor's quotient system."""
-    fac = st.quotient_system(sys, sys.J)
+    fac = oracles.discrete_factor(sys)
     lifts = [fac.lift_vector(v) for v in st._nonconstant_slices(_log_g_tau_through(fac))]
     return la.rational_hull(la.RationalIdeal(sys.algebra, fac.kernel.basis + lifts))
 
 
 def _verdict_through_quotient(sys, N):
     """The ergodicity verdict derived on the torus quotient system by N."""
-    fac = st.quotient_system(sys, N)
+    fac = oracles.quotient_system(sys, N)
     qalg = fac.quotient.algebra
     bbar = _log_g_tau_through(fac)
     slices = st._nonconstant_slices(bbar)
@@ -170,8 +170,8 @@ def _diagonal_skew():
 @pytest.mark.parametrize("name", NAMES + ["diagonal_skew"])
 def test_factors_read_by_projection_match_the_quotient_systems(name, params):
     """The projected log g_tau, the Leibman component and the ergodicity
-    verdict, which no longer build a quotient system, equal the same values
-    derived through ``quotient_system``, on every catalog system and a skew
+    verdict, which build no quotient system, equal the same values derived
+    through the oracle ``quotient_system``, on every catalog system and a skew
     torus whose kernel is not a coordinate subspace, with the symbols formal
     and at the structure workload's rational parameters."""
     sys = _diagonal_skew() if name == "diagonal_skew" else catalog_build(name)
@@ -186,7 +186,7 @@ def test_factors_read_by_projection_match_the_quotient_systems(name, params):
         # each surviving axis and sends N to 0, which fixes it uniquely
         assert [[row[i] for i in nonpivot] for row in proj_rows] == oracles.eye(len(nonpivot))
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in proj_rows for v in N.basis)
-        fac = st.quotient_system(sys, N)
+        fac = oracles.quotient_system(sys, N)
         assert (proj_rows, nonpivot) == (fac.proj_matrix, fac.nonpivot)
         log_g = gp.second_to_first(alg, sys.g_tau)
         projected = gp.PolynomialMap.linear(proj_rows)(log_g)
@@ -207,7 +207,7 @@ def test_quotient_projection_intertwines_exactly(name):
     J = st.rational_closure_J(sys, st.tau_commutator_ideal(sys))
     if J.dim == 0:
         pytest.skip("trivial kernel")
-    fac = st.quotient_system(sys, J)
+    fac = oracles.quotient_system(sys, J)
     rng = random.Random(5)
     for _ in range(10):
         x = rand_point(rng, sys.algebra.dim)
@@ -217,11 +217,21 @@ def test_quotient_projection_intertwines_exactly(name):
 
 
 def test_quotient_rejects_bad_ideals():
+    """The oracle quotient and the factor projection of ``project_to_factor``,
+    whose N comes from the caller, both refuse a subspace that is not an
+    ideal and an ideal that is not rational."""
     sys = build("heisenberg3")
-    # a subspace that is not an ideal
-    V = la.span(sys.algebra, [sys.algebra.basis_vector(0)])
-    with pytest.raises(st.SystemValidationError):
-        st.quotient_system(sys, V)
+    alg, ctx = sys.algebra, sys.context
+    not_ideal = la.span(alg, [alg.basis_vector(0)])
+    # x + alpha y with the center: an ideal, as it holds [g, g], but not rational
+    irrational = la.RationalIdeal(
+        alg, [[ctx.constant(1), ctx.symbol("alpha"), ctx.constant(0)], alg.basis_vector(2)])
+    assert irrational.is_ideal and not irrational.is_rational
+    for V in (not_ideal, irrational):
+        with pytest.raises(st.SystemValidationError):
+            oracles.quotient_system(sys, V)
+        with pytest.raises(st.SystemValidationError, match="kernel must be a rational ideal"):
+            project_to_factor(sys, Observable.character(3, (0, 0, 1)), V)
 
 
 def test_kernel_must_be_invariant_under_every_generator():
@@ -233,7 +243,7 @@ def test_kernel_must_be_invariant_under_every_generator():
     sys = st.AffineNilsystem(alg, [(A1, [F(0), F(1, 3)]), (A2, [F(0), F(1, 5)])])
     N = la.span(alg, [alg.basis_vector(0)])
     with pytest.raises(ValueError):
-        st.quotient_system(sys, N)
+        oracles.quotient_system(sys, N)
     with pytest.raises(ValueError):
         project_to_factor(sys, Observable.character(2, (0, 1)), N)
 
@@ -241,7 +251,7 @@ def test_kernel_must_be_invariant_under_every_generator():
 def test_identity_quotient_is_identity():
     sys = build("heisenberg3")
     Z = la.span(sys.algebra, [])
-    fac = st.quotient_system(sys, Z)
+    fac = oracles.quotient_system(sys, Z)
     assert fac.quotient.algebra.dim == sys.algebra.dim
     x = [F(1, 3), F(2, 7), F(1, 2)]
     assert fac.project_point(x) == x
@@ -251,7 +261,7 @@ def test_full_quotient_is_a_point():
     """The quotient by the whole algebra is 0-dimensional, and a 0-dimensional
     system runs the Leibman derivation through it like any other."""
     sys = build("heisenberg3")
-    fac = st.quotient_system(sys, la.full_algebra(sys.algebra))
+    fac = oracles.quotient_system(sys, la.full_algebra(sys.algebra))
     assert fac.quotient.algebra.dim == 0 and fac.nonpivot == []
     point = NilLieAlgebra.from_brackets(0, {})
     sys0 = st.AffineNilsystem(point, [(UnipotentAutomorphism(point, []), [])])
@@ -271,7 +281,7 @@ def test_orbit_confined_to_leibman_coset(name):
     """Coordinates transverse to the Leibman component are constant on orbits."""
     sys = build(name)
     H = st.leibman_identity_component(sys)
-    fac = st.quotient_system(sys, H)
+    fac = oracles.quotient_system(sys, H)
     num = sys.numeric()
     pts = num.sample_points(8, seed=3)
     vals0 = None
