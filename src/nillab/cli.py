@@ -32,6 +32,11 @@ from .spectral import Observable
 from .structure import AffineNilsystem
 
 
+#: The value of each flag that neither the command line nor a config file
+#: sets; the commands and the help strings read it from here.
+DEFAULTS = {"k": 1, "lags": 256, "samples": 10 ** 5, "levels": (64,)}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -119,7 +124,7 @@ def cmd_structure(config: dict) -> str:
     hH = st.leibman_identity_component(system)
     lines += _basis_lines("leibman_identity_component", hH)
     lines += _basis_lines("derived_leibman", derived_subalgebra(hH))
-    k = int(config.get("k", 1))
+    k = config["k"]
     lines += _basis_lines("leibman_lcs(k=%d)" % k, st.leibman_lcs(system, k))
     lines.append("discrete_factor: torus dimension %d" % (system.algebra.dim - J.dim))
     verdict = st.ergodicity_test(system)
@@ -135,9 +140,7 @@ def cmd_spectrum(config: dict) -> str:
     system = _load_sys(config)
     if config.get("seed") is None:
         raise ConfigError("spectral commands require a seed")
-    seed = int(config["seed"])
-    lags = int(config.get("lags", 256))
-    N = int(config.get("samples", 10 ** 5))
+    seed, lags, N = config["seed"], config["lags"], config["samples"]
     f = _parse_observable(config.get("observable"), system.algebra.dim)
     series = sp.autocorrelation(system, f, lags, N, seed)
     report = sp.classify(series)
@@ -155,10 +158,7 @@ def cmd_useminorm(config: dict) -> str:
     system = _load_sys(config)
     if config.get("seed") is None:
         raise ConfigError("spectral commands require a seed")
-    seed = int(config["seed"])
-    N = int(config.get("samples", 10 ** 5))
-    levels = config.get("levels") or [64]
-    levels = [int(h) for h in levels]
+    seed, N, levels = config["seed"], config["samples"], config["levels"]
     f = _parse_observable(config.get("observable"), system.algebra.dim)
     lines = ["s,estimate,stability_delta"]
     for est in sp.seminorm_ladder(system, f, levels, N, seed):
@@ -251,22 +251,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("structure", help="exact subgroup and ergodicity report")
     common(s)
-    s.add_argument("--k", type=int, help="factor level for the lcs tower (default 1)")
+    s.add_argument("--k", type=int, help="factor level for the lcs tower (default %d)"
+                   % DEFAULTS["k"])
 
+    samples = "QMC sample count N (default %d)" % DEFAULTS["samples"]
     s = sub.add_parser("spectrum", help="autocorrelation series and spectral report")
     common(s)
     s.add_argument("--observable", action="append", metavar="K1,..,KM:AMP")
-    s.add_argument("--lags", type=int, help="largest lag K (default 256)")
-    s.add_argument("--samples", type=int, help="QMC sample count N (default 10^5)")
+    s.add_argument("--lags", type=int, help="largest lag K (default %d)" % DEFAULTS["lags"])
+    s.add_argument("--samples", type=int, help=samples)
     s.add_argument("--seed", type=int)
 
     s = sub.add_parser("useminorm", help="uniformity seminorm estimates")
     common(s)
     s.add_argument("--observable", action="append", metavar="K1,..,KM:AMP")
-    s.add_argument("--samples", type=int, help="QMC sample count N (default 10^5)")
+    s.add_argument("--samples", type=int, help=samples)
     s.add_argument("--seed", type=int)
     s.add_argument("--levels", type=int, nargs="+",
-                   help="H per recursion stage; one U^s row per prefix (default 64)")
+                   help="H per recursion stage; one U^s row per prefix (default %s)"
+                   % " ".join(map(str, DEFAULTS["levels"])))
 
     for name, help_ in (("verify", "replay the built-in golden suite"),
                         ("catalog", "list built-in systems")):
@@ -324,6 +327,8 @@ def _config_from_args(args) -> dict:
             config[flag.dest] = v
         elif flag.dest in config:
             config[flag.dest] = _config_value(flag, config[flag.dest])
+        elif flag.dest in DEFAULTS:
+            config[flag.dest] = DEFAULTS[flag.dest]
     if getattr(args, "params", None):
         config["params"] = _parse_params(args.params)
     return config

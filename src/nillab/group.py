@@ -340,8 +340,8 @@ def _compiled(law):
     """Evaluate the group-law function ``law(alg, *coords)`` through its Hall
     polynomials, derived by running ``law`` itself on coordinate symbols and
     reachable as ``table(alg)``; ``__wrapped__`` is ``law`` unchanged.  Tables
-    are keyed by structure constants, not by algebra object: quotient and
-    catalog constructions build equal algebras afresh on every call.
+    are keyed by structure constants, not by algebra object: catalog
+    constructions build equal algebras afresh on every call.
     """
     nargs = law.__code__.co_argcount - 1
 

@@ -153,6 +153,7 @@ class Observable:
     of the exact value), then each character e(<k, x>) as a product of
     integer powers of those values.  Since every power up to |k_j| is held at
     once, a frequency entry with |k_j| > :data:`MAX_FREQUENCY` (256) is refused.
+    ``coordinates`` is the frozenset of the coordinates j that some term reads.
     """
 
     def __init__(self, dim: int, terms: dict[tuple, complex]):
@@ -174,6 +175,7 @@ class Observable:
                 self.terms[k] = a
             else:
                 self.terms.pop(k, None)
+        self.coordinates = frozenset(j for k in self.terms for j, kj in enumerate(k) if kj)
 
     @classmethod
     def character(cls, dim: int, freqs) -> "Observable":
@@ -269,16 +271,6 @@ def _translate(alg, z, pts: list) -> list:
     return gp.reduce_mod_lattice(alg, gp.multiply(alg, z, pts))[0]
 
 
-def translated_observable(sys: AffineNilsystem, f, h_coords):
-    """f composed with left translation by psi(h_coords): x -> f(h * x)."""
-    alg = sys.algebra
-
-    def g(pts):
-        return f(_translate(alg, h_coords, pts))
-
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Autocorrelation series
 # ---------------------------------------------------------------------------
@@ -326,14 +318,6 @@ def _hermitian(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(np.flip(half[1:])), half])
 
 
-def _orbit(step, pts, reach: int):
-    """pts, step(pts), ..., step^reach(pts): exactly ``reach`` steps."""
-    yield pts
-    for _ in range(reach):
-        pts = step(pts)
-        yield pts
-
-
 def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
     """The numeric system and the N sample points in chunks of ``size`` (lists
     of coordinate arrays, each chunk drawn when reached), after checking N (at
@@ -356,18 +340,19 @@ def _same_bits(u: np.ndarray, v: np.ndarray) -> bool:
 
 
 def _walk(step, pts, reach: int, reads: list):
-    """The points of :func:`_orbit`, each with the parts to evaluate there: None
-    (every part) at pts, then a flag per part, set for a callable (None in
-    ``reads``) and for a part that reads a coordinate whose bits the step changed.
+    """pts, step(pts), ..., step^reach(pts), each with the parts to evaluate
+    there.  A part is evaluated at the walk's first point, where the flags are
+    None (every part), and wherever a coordinate it reads changed bits in the
+    step; a callable (None in ``reads``) may read any coordinate, so it is
+    evaluated at every point.
     """
     watched = sorted(set().union(*(r for r in reads if r is not None)))
-    prev = fresh = None
-    for pts in _orbit(step, pts, reach):
-        if prev is not None:
-            moved = {j for j in watched if not _same_bits(prev[j], pts[j])}
-            fresh = [r is None or not r.isdisjoint(moved) for r in reads]
-        prev = pts  # the previous point is released before the new one is evaluated
-        yield pts, fresh
+    yield pts, None
+    for _ in range(reach):
+        new = step(pts)
+        moved = {j for j in watched if not _same_bits(pts[j], new[j])}
+        pts = new  # the previous point is released before the new one is evaluated
+        yield pts, [r is None or not r.isdisjoint(moved) for r in reads]
 
 
 def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
@@ -379,20 +364,20 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     sample points walks 2 K2 steps along T2, keeping conj f in a (2 K2 + 1) x
     chunk block; y then walks K1 steps along T1, its values at y read back
     from the block, and each step's row products are summed into the box,
-    which is divided by N once: one chunk gives np.mean.  Row n1 = 0 is
-    estimated for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored from
-    n1 > 0, so Hermitian symmetry is exact.  One generator is
-    K2 = 0.  Observables with equal terms are evaluated and contracted once,
-    and each of them gets that box; callables are never merged.  A lag whose
-    sum is not finite (products that overflow) is named in a ValueError.
+    which is divided by N once: one chunk gives np.mean.  c(0) (or c(0, 0))
+    is summed as the real sum of |f|^2, so it is real on every host.  Row
+    n1 = 0 is recorded for n2 >= 0 and mirrored, the rows n1 < 0 are mirrored
+    from n1 > 0, so Hermitian symmetry is exact.  One generator is K2 = 0.
+    Observables with equal terms are evaluated and contracted once, and each
+    of them gets that box; callables are never merged.  A lag whose sum is not
+    finite (products that overflow) is named in a ValueError.
 
-    Within a walk, an Observable part whose coordinates (those its terms
-    read) all kept their bits in the step is not evaluated: its kept row is
-    the previous row, and along T1 its previous lag sums are added again.
-    The same bits give the same values and sums, so the result is bit for
-    bit that of evaluating every part at every step.  Every part is evaluated
-    at the first point of each chunk's walks, and at T1's first step, since
-    row n1 = 0 holds only the lags n2 >= 0.  Callables run at every step.
+    Each walk evaluates a part by the one rule of :func:`_walk`: at its first
+    point, and where a coordinate the part reads changed bits.  A part left
+    out keeps its previous row, and along T1 its previous lag sums are added
+    again; row n1 = 0 is contracted over every lag, so step 1 may reuse it.
+    The same bits give the same values and sums, so the result is bit for bit
+    that of evaluating every part at every step.
     """
     num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
@@ -402,8 +387,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
             slot[key] = len(parts)
             parts.append(f)
         where.append(slot[key])
-    reads = [{j for k in f.terms for j, kj in enumerate(k) if kj}
-             if isinstance(f, Observable) else None for f in parts]
+    reads = [f.coordinates if isinstance(f, Observable) else None for f in parts]
 
     def values(pts: list, fresh) -> list:
         # the fresh Observables share one evaluation; callables run one by one in
@@ -417,7 +401,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
 
     # -0.0 is the exact additive identity (+0.0 would turn a sum of -0.0 into +0.0)
     half = np.full((len(parts), K1 + 1, 2 * K2 + 1), complex(-0.0, -0.0))
-    sums = [[]] * len(parts)  # each part's lag sums i = lo..2 K2 at its last evaluation
+    sums = [[]] * len(parts)  # each part's lag sums i = 0..2 K2 at its last evaluation
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
@@ -427,15 +411,14 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
                 if j == K2:
                     y = z
             for n1, (x, fresh) in enumerate(_walk(num.step, y, K1, reads)):
-                lo = K2 if n1 == 0 else 0  # i = K2 + n2
-                # f(y) is conj of the kept row K2, exactly: conj only flips a sign;
-                # row 0 holds only the lags i >= K2, so step 1 evaluates every part
-                for q, fx in enumerate(values(x, fresh if n1 > 1 else None) if n1
-                                       else map(np.conj, kept[:, K2])):
+                # f(y) is conj of the kept row K2, exactly: conj only flips a sign
+                for q, fx in enumerate(values(x, fresh) if n1 else map(np.conj, kept[:, K2])):
                     if fx is not None:
-                        sums[q] = [np.sum(kept[q, 2 * K2 - i] * fx) for i in range(lo, 2 * K2 + 1)]
-                    for i, s in enumerate(sums[q], lo):
-                        half[q, n1, i] += s
+                        sums[q] = [np.sum(kept[q, 2 * K2 - i] * fx) for i in range(2 * K2 + 1)]
+                    if n1 == 0:
+                        half[q, 0, K2] += np.sum(np.square(fx.real) + np.square(fx.imag))
+                    for i in range(K2 + 1 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
+                        half[q, n1, i] += sums[q][i]
             del kept  # freed before the next chunk's block is allocated
         half /= N
     bad = np.argwhere(~np.isfinite(half))
@@ -549,7 +532,7 @@ def fejer_density(series: AutocorrelationSeries, grid_size: int) -> np.ndarray:
         # contract the leading lag axis against the Fejer-weighted characters;
         # its grid axis goes last, so the grid axes end in generator order
         n = np.arange(-K, K + 1)
-        kernel = (1.0 - np.abs(n) / (K + 1.0)) * np.exp(-1j * TWO_PI * np.outer(theta, n))
+        kernel = (1.0 - np.abs(n) / (K + 1.0)) * _exp_2pi_i(-np.outer(theta, n))
         dens = np.tensordot(dens, kernel, axes=(0, 1))
     return np.clip(dens.real, 0.0, None)
 
@@ -758,8 +741,10 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             g = np.empty((depth, len(chunk[0])), dtype=complex)
-            for t, cur in enumerate(_orbit(num.step, chunk, depth - 1)):
-                g[t] = f(cur)
+            g[0] = f(chunk)
+            for t in range(1, depth):
+                chunk = num.step(chunk)
+                g[t] = f(chunk)
             for q, s in enumerate(orders):
                 full, half = _seminorm_power(g, s, H_levels[:s], halved=True)
                 sums[q] = (sums[q][0] + full, sums[q][1] + half)
@@ -867,8 +852,9 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
 
 
 def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdeal,
-                            chi_frequency, N: int = 256, seed=0) -> bool:
-    """True when f(z x) = chi(z) f(x) for central z, i.e. f lies in V_chi."""
+                            chi_frequency) -> bool:
+    """True when f(z x) = chi(z) f(x) for central z, i.e. f lies in V_chi: checked
+    on 256 sample points and 8 random z, both drawn from seed 0."""
     alg = sys.algebra
     if central_ideal.dim and not central_ideal.is_rational:
         raise ValueError("central ideal must be rational")
@@ -879,13 +865,13 @@ def vertical_character_test(sys: AffineNilsystem, f, central_ideal: RationalIdea
         raise ValueError("character frequency has wrong length")
     tol = CALIBRATION["character_tolerance"]
     dirs = _primitive_ideal_basis(central_ideal)
-    pts = sys.numeric().sample_points(N, seed)
-    rng = np.random.default_rng(seed if seed is not None else 0)
+    pts = sys.numeric().sample_points(256, 0)
+    rng = np.random.default_rng(0)
     us = rng.random((8, len(dirs))) if len(dirs) else np.zeros((1, 0))
     f0 = f(pts)
     for u in us:
         z = gp.first_to_second(alg, (u @ dirs).tolist())
-        chi_z = np.exp(1j * TWO_PI * sum(k * ua for k, ua in zip(chi, u)))
+        chi_z = _exp_2pi_i(np.dot(chi, u))
         if np.max(np.abs(f(_translate(alg, z, pts)) - chi_z * f0)) > tol:
             return False
     return True
@@ -904,7 +890,9 @@ def fiber_eigenvalues(sys: AffineNilsystem, base_point, j_range) -> list[float]:
     if not _commutes(alg, hH.basis, hH.basis):
         raise ValueError("Leibman component is not abelian; fibers are not rotations")
     g = [float(c) for c in base_point]
-    w = gp.multiply(alg, gp.inverse(alg, g), sys.numeric().apply(g))
+    A, g_tau = sys.numeric().pairs[0]  # g_tau A(g), unreduced, from T's float pair
+    image = gp.multiply(alg, g_tau, g if A is None else gp.apply_automorphism(alg, A, g))
+    w = gp.multiply(alg, gp.inverse(alg, g), image)
     logw = gp.second_to_first(alg, w)
     # coordinates of log(w) in the primitive basis of the fiber algebra
     dirs = _primitive_ideal_basis(hH)

@@ -148,11 +148,11 @@ class AffineNilsystem:
 class NumericSystem:
     """Double-precision dynamics of an affine nilsystem, vectorized over batch points.
 
-    Each of the system's generators x -> g * A(x) is held as an affine pair
-    (A, g), g evaluated at the system's default assignment and A None when it
-    is the identity, whose table is then skipped.  Its reduced step is
-    :func:`group.affine_step`: one plan per generator and pattern of array
-    entries, with g folded in, compiled on the first step and cached in
+    Each of the system's generators x -> g * A(x) is held in ``pairs`` as an
+    affine pair (A, g), g evaluated at the system's default assignment and A
+    None when it is the identity, whose table is then skipped.  Its reduced
+    step is :func:`group.affine_step`: one plan per generator and pattern of
+    array entries, with g folded in, compiled on the first step and cached in
     ``group`` for every system with an equal generator, so building a
     NumericSystem compiles nothing.  ``step`` walks the first generator and
     ``step2`` the second.  Only forward steps exist: the estimators walk
@@ -162,20 +162,10 @@ class NumericSystem:
     def __init__(self, sys: AffineNilsystem):
         self.sys = sys
         self.alg = sys.algebra
-        pairs = [self._pair(A, g) for A, g in sys.generators]
-        self._forward = pairs[0]
-        self._steps = [gp.affine_step(self.alg, *pair) for pair in pairs]
-
-    def _pair(self, A: UnipotentAutomorphism, g: list) -> tuple:
-        values = self.sys.default_assignment
-        return None if A.is_identity else A, [evaluate_scalar(t, values) for t in g]
-
-    def apply(self, pts: list) -> list:
-        """g_tau * A(pts): one step of T before lattice reduction."""
-        A, g = self._forward
-        if A is not None:
-            pts = gp.apply_automorphism(self.alg, A, pts)
-        return gp.multiply(self.alg, g, pts)
+        values = sys.default_assignment
+        self.pairs = [(None if A.is_identity else A, [evaluate_scalar(t, values) for t in g])
+                      for A, g in sys.generators]
+        self._steps = [gp.affine_step(self.alg, *pair) for pair in self.pairs]
 
     def step(self, pts: list) -> list:
         """pts is a list of m arrays (or floats); returns T(pts), reduced."""

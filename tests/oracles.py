@@ -182,9 +182,10 @@ def correlations(sys, fs, K1, K2, N, seed):
 
     All N sample points z walk at once: 2 K2 steps along T2, keeping every
     conj f(T2^j z) in one (2 K2 + 1) x N block, then y = T2^K2 z walks K1
-    steps along T1, and c(n1, n2) = np.mean(conj f(T2^(K2 - n2) z) . f(T1^n1 y)).
-    Each f is called on each batch in list order.  The rows n1 = 0, n2 < 0 and
-    n1 < 0 are mirrored by c(-n) = conj(c(n)).
+    steps along T1, and c(n1, n2) = np.mean(conj f(T2^(K2 - n2) z) . f(T1^n1 y)),
+    but for c(0, 0), the real sum of |f(y)|^2 over N.  Each f is called on each
+    batch in list order.  The rows n1 = 0, n2 < 0 and n1 < 0 are mirrored by
+    c(-n) = conj(c(n)).
     """
     def hermitian(half):
         return np.concatenate([np.conj(np.flip(half[1:])), half])
@@ -207,6 +208,8 @@ def correlations(sys, fs, K1, K2, N, seed):
             fx = f(x)
             for i in range(K2 if n1 == 0 else 0, 2 * K2 + 1):  # i = K2 + n2
                 half[q, n1, i] = np.mean(kept[q, 2 * K2 - i] * fx)
+            if n1 == 0:  # the real sum of |f|^2, divided by N as np.mean divides a complex sum
+                half[q, 0, K2] = np.complex128(np.sum(np.square(fx.real) + np.square(fx.imag))) / N
     for h in half:
         h[0] = hermitian(h[0, K2:])
     return [hermitian(h).ravel() for h in half]

@@ -129,6 +129,37 @@ def test_useminorm_rows_per_level_prefix(capsys):
     assert u1 <= 0.05 and u2 >= 0.99
 
 
+@pytest.mark.parametrize("argv, module, name, flags", [
+    (["structure", "--system", "heisenberg3"], "structure", "leibman_lcs", {1: "--k"}),
+    (["spectrum", "--system", "rot_torus", "--observable", "1:1", "--seed", "7"],
+     "spectral", "autocorrelation", {2: "--lags", 3: "--samples"}),
+    (["useminorm", "--system", "rot_torus", "--observable", "1:1", "--seed", "7"],
+     "spectral", "seminorm_ladder", {2: "--levels", 3: "--samples"}),
+])
+def test_help_shows_the_default_a_run_uses(capsys, monkeypatch, argv, module, name, flags):
+    """Each flag's --help line names the value that a run without the flag
+    passes on: the estimator's or report's argument, caught before it runs."""
+    from nillab import spectral, structure
+
+    seen = []
+
+    def caught(*args):
+        seen.extend(args)
+        raise ValueError("caught")
+
+    monkeypatch.setattr({"spectral": spectral, "structure": structure}[module], name, caught)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (1, "error: caught\n")
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    for position, flag in flags.items():
+        value = seen[position]
+        shown = " ".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value)
+        line = text[text.index("%s %s " % (flag, flag[2:].upper())):].split(" --", 1)[0]
+        assert "(default %s)" % shown in line, line
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

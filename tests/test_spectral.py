@@ -29,7 +29,6 @@ from nillab.spectral import (
     pushforward_histogram,
     seminorm_ladder,
     subtorus_support_test,
-    translated_observable,
     uniformity_seminorm,
     vertical_character_test,
     wiener_atom_mass,
@@ -294,16 +293,38 @@ def test_autocorrelation_many_contracts_each_distinct_part_once(monkeypatch):
 
 
 def test_autocorrelation_many_is_the_plain_orbit_mean():
-    """Each value is exactly np.mean(conj f(x) . f(T^n x)) over the sample."""
+    """Each value is exactly np.mean(conj f(x) . f(T^n x)) over the sample, and
+    c(0) the real mean of |f|^2."""
     sys = catalog_build("heisenberg3")
     f = Observable(3, {(0, 0, 1): 1.0, (1, 0, 0): 0.5})
     (series,) = autocorrelation_many(sys, [f], 16, 1024, seed=4)
     num = sys.numeric()
     x = num.sample_points(1024, 4)
     base = np.conj(f(x))
-    for n in range(17):
-        assert series.value(n) == np.mean(base * f(x))
+    assert series.value(0) == np.mean(np.square(base.real) + np.square(base.imag))
+    for n in range(1, 17):
         x = num.step(x)
+        assert series.value(n) == np.mean(base * f(x))
+
+
+@pytest.mark.parametrize("name, grid", [("heisenberg3", None), ("z2_skew", None),
+                                        ("z2_skew", (3, 2))])
+def test_c0_is_real(name, grid):
+    """c(0) and c(0, 0) are the real sum of |f|^2 over the sample: their
+    imaginary part is exactly 0 on every host, for a sum of complex amplitudes too."""
+    sys = catalog_build(name)
+    dim = sys.algebra.dim
+    fs = [Observable.character(dim, (1,) * dim),
+          Observable(dim, {(1,) + (0,) * (dim - 1): 0.3 - 1.7j, (0,) * (dim - 1) + (1,): 2.1j,
+                           (0,) * dim: 0.25 + 0.5j})]
+    for f in fs:
+        if grid:
+            series = joint_autocorrelation(sys, f, grid, 3 * _C + 17, seed=7)
+            c0 = series.value(0, 0)
+        else:
+            series = autocorrelation(sys, f, 8, 3 * _C + 17, seed=7)
+            c0 = series.value(0)
+        assert c0.imag == 0.0 and c0.real == series.c0() > 0
 
 
 _C = sp.CORRELATION_CHUNK
@@ -362,10 +383,10 @@ def test_chunked_correlations_match_whole_batch_oracle(name, K2, seed, N):
 def test_correlation_walks_evaluate_only_the_parts_whose_coordinates_moved(monkeypatch):
     """Which parts each point of a two-chunk joint walk evaluates, with T1 =
     exp(theta Z), which keeps x and y bit for bit, and T2 heisenberg3's
-    translation.  Every part is evaluated at each chunk's first point and at
-    T1's first step (row n1 = 0 holds only the lags n2 >= 0); then an
-    Observable only when a coordinate it reads moved, and the callable at
-    every point.  The boxes stay the whole-batch oracle's."""
+    translation.  Every part is evaluated at each chunk's first point; then an
+    Observable only when a coordinate it reads moved, T1's first step
+    included, and the callable at every point.  The boxes stay the
+    whole-batch oracle's."""
     sys = _central_pair(central_first=True)
     e_x, e_z, one = (Observable.character(3, (1, 0, 0)), Observable.character(3, (0, 0, 1)),
                      Observable.constant(3))
@@ -383,11 +404,28 @@ def test_correlation_walks_evaluate_only_the_parts_whose_coordinates_moved(monke
     monkeypatch.setattr(sp, "evaluate_observables", lambda fs, pts: evaluated.append(
         "".join(names[id(f)] for f in fs)) or evaluate(fs, pts))
     got = sp._correlations(sys, [e_x, e_z, one, h], K1, K2, N, 19)
-    # per chunk: the T2 walk's 2 K2 + 1 points, then T1's first and later steps
-    assert evaluated == (["xz1"] + ["xz"] * (2 * K2) + ["xz1"] + ["z"] * (K1 - 1)) * 2
+    # per chunk: the T2 walk's 2 K2 + 1 points, then T1's K1 steps
+    assert evaluated == (["xz1"] + ["xz"] * (2 * K2) + ["z"] * K1) * 2
     assert len(called) == (2 * K2 + 1 + K1) * 2
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 1e-15 * abs(w[len(w) // 2])
+
+
+def test_kept_part_is_evaluated_once_per_chunk(monkeypatch):
+    """heisenberg4's step keeps t1 bit for bit, so a one-generator walk of
+    e_t1 evaluates it at each chunk's first point only, T1's first step
+    included, and its series stays the whole-batch oracle's."""
+    sys = catalog_build("heisenberg4")
+    e_t1 = Observable.character(6, (1, 0, 0, 0, 0, 0))
+    K, N = 5, 2 * _C + 1
+    want = oracles.correlations(sys, [e_t1], K, 0, N, 3)
+    evaluated = []
+    evaluate = sp.evaluate_observables
+    monkeypatch.setattr(sp, "evaluate_observables",
+                        lambda fs, pts: evaluated.append(len(fs)) or evaluate(fs, pts))
+    (got,) = sp._correlations(sys, [e_t1], K, 0, N, 3)
+    assert evaluated == [1] * 3
+    assert np.max(np.abs(got - want[0])) <= 1e-15 * abs(want[0][K])
 
 
 def test_joint_autocorrelation_memory_is_bounded_by_the_chunk():
@@ -417,7 +455,10 @@ def test_autocorrelation_input_validation():
 def test_translated_observable_leaves_spectral_measure_invariant():
     sys = catalog_build("rot_torus")
     f = Observable.character(1, (1,))
-    g = translated_observable(sys, f, [0.3517])
+
+    def g(pts):  # f composed with left translation by 0.3517
+        return f(sp._translate(sys.algebra, [0.3517], pts))
+
     sf = autocorrelation(sys, f, 24, 2048, seed=4)
     sg = autocorrelation(sys, g, 24, 2048, seed=4)
     assert np.max(np.abs(sf.values - sg.values)) <= 1e-12
@@ -582,8 +623,11 @@ def _orbit_matrix(sys, f, depth, N, seed):
     """G[t, i] = f(T^t x_i), walked on the whole batch at once."""
     num = sys.numeric()
     G = np.empty((depth, N), dtype=complex)
-    for t, cur in enumerate(sp._orbit(num.step, num.sample_points(N, seed), depth - 1)):
-        G[t] = f(cur)
+    x = num.sample_points(N, seed)
+    G[0] = f(x)
+    for t in range(1, depth):
+        x = num.step(x)
+        G[t] = f(x)
     return G
 
 
@@ -989,7 +1033,8 @@ def test_central_second_generator_multiplies_by_its_phase(N):
     one-generator estimate times e(n2 theta): measured within 1.74e-15 at
     N = 2^13 and 2^16, grid (8, 8), seed 7.  T2 keeps x, so the e_x walk along
     T2 skips e_x, and each column is bit for bit the one-generator series,
-    but for c(0, n2 < 0), the mirror conj of c(0, -n2)."""
+    but on row n1 = 0 off c(0, 0): c(0) is the real sum of |f|^2, but
+    c(0, n2 != 0) a complex contraction, mirrored for n2 < 0."""
     sys = _central_pair()
     K1, K2 = 8, 8
     e_z = Observable.character(3, (0, 0, 1))
@@ -1000,11 +1045,10 @@ def test_central_second_generator_multiplies_by_its_phase(N):
     e_x = Observable.character(3, (1, 0, 0))
     joint = joint_autocorrelation(sys, e_x, (K1, K2), N, seed=7).box
     one = autocorrelation(sys, e_x, K1, N, seed=7).values
+    rows = np.arange(2 * K1 + 1) != K1  # every n1 but 0
     for i in range(2 * K2 + 1):
-        want = one.copy()
-        if i < K2:
-            want[K1] = np.conj(want[K1])
-        assert joint[:, i].tobytes() == want.tobytes()
+        got, want = (joint[:, i], one) if i == K2 else (joint[rows, i], one[rows])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_joint_autocorrelation_matches_direct_orbit_means():
