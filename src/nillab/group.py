@@ -13,6 +13,7 @@ per coordinate, so every operation vectorizes over point batches).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -188,11 +189,86 @@ def _float_entry(v):
     return float(v) if isinstance(v, _EXACT_TYPES) else v
 
 
-def _float_plan(stages, arrays: tuple, floors_out: bool = True):
+def _stage_terms(stages, arrays: tuple) -> list:
+    """Per stage of a plan (:func:`_float_plan`), per output, the triple (terms,
+    skipped, is array): the terms the plan forms, each (c, mono) with c the float
+    coefficient times the monomial's leading known factors and mono the rest of
+    its variables; whether a term was skipped; whether the output is an array.
+
+    A term is skipped when c is 0.0 or a known factor is +-0.0, unless it is the
+    first such term with an array factor of an output whose other array terms
+    are all skipped: that one is kept, so the output stays an array.  With
+    ``floors_at``, entry floors_at + i is unknown from output i + 1 on: it
+    holds output i's floor.
+    """
+    flags = list(arrays)
+    out = []
+    for polys, floors_at, known in stages:
+        read = iter(flags)
+        flags = [next(read) if k is None else False for k in known]
+        known = list(known)
+        outputs = []
+        for i, poly in enumerate(polys):
+            terms = []  # (coefficient, unfolded factors, is zero, has an array factor)
+            for c, mono in poly:
+                c, lead = float(c), 0
+                while lead < len(mono) and known[mono[lead]] is not None:
+                    c, lead = c * known[mono[lead]], lead + 1
+                mono = mono[lead:]
+                terms.append((c, mono, c == 0.0 or any(known[j] == 0.0 for j in mono),
+                              any(flags[j] for j in mono)))
+            spare = not any(arr and not zero for _, _, zero, arr in terms)
+            kept, skipped = [], False
+            for c, mono, zero, arr in terms:
+                if zero and not (arr and spare):
+                    skipped = True
+                    continue
+                spare = spare and not arr
+                kept.append((c, mono))
+            array = any(flags[j] for _, mono in kept for j in mono)
+            if floors_at is not None:
+                flags[floors_at + i], known[floors_at + i] = array, None
+            outputs.append((kept, skipped, array))
+        out.append(outputs)
+        flags = [array for _, _, array in outputs]
+    return out
+
+
+def _live(stages, terms: list, keep) -> tuple[list, set]:
+    """The outputs a plan computes to return the last stage's outputs ``keep``
+    (None: all of them), per stage, and the plan arguments they read.
+
+    Output i reads the entries of its terms (:func:`_stage_terms`) that are not
+    known constants; with ``floors_at``, entry floors_at + i' for i' < i is
+    output i''s floor, so output i' is computed first.
+    """
+    alive = set(range(len(terms[-1]))) if keep is None else set(keep)
+    live = []
+    for (_, floors_at, known), outputs in zip(reversed(stages), reversed(terms)):
+        live.append(alive)
+        need = set()
+        for i in range(len(outputs) - 1, -1, -1):
+            if i not in alive:
+                continue
+            for _, mono in outputs[i][0]:
+                for j in mono:
+                    if floors_at is not None and 0 <= j - floors_at < i:
+                        alive.add(j - floors_at)
+                    elif known[j] is None:
+                        need.add(j)
+        # the unknown entries are the previous stage's outputs (or the arguments) in order
+        alive = {r for r, j in enumerate(j for j, k in enumerate(known) if k is None) if j in need}
+    return live[::-1], alive
+
+
+def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     """The float evaluation of a chain of polynomial maps at entries x0, x1,
     ..., those where ``arrays`` is true being arrays, compiled once into one
     Python function that returns what the last map returns, less its floors
-    when ``floors_out`` is false.
+    when ``floors_out`` is false.  With ``keep``, a set of the last map's
+    outputs, the function computes those and only what they read
+    (:func:`_live`), and returns None for every other output and its floor;
+    it reads no other entry, so those may be None.
 
     Each stage is (polys, floors_at, known): ``known[j]`` is the float value
     of the stage's entry j when it is known as the plan is built, else None.
@@ -207,12 +283,14 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True):
     An output's first array term becomes the output array, to which the
     running scalar is added (so 0 + -0.0 is 0.0, as in the loop); each later
     array term is multiplied into one scratch buffer and added in place.  A
-    coefficient of exactly 1.0 or -1.0 that meets an array factor first is
-    not multiplied: the rest of the product is added or subtracted, which is
-    exact.  With ``floors_at``, an array output is split in place into its
-    fractional part and a fresh floor array, the fractional part set to 0.0
-    where t - floor(t) rounds up to 1.0; a scalar output is split as in the
-    loop.  No entry is written.
+    product that starts two or more of a stage's terms (the same factors in
+    the same order) is formed once, into a buffer of its own, and each of
+    those terms goes on from it.  A coefficient of exactly 1.0 or -1.0 that
+    meets an array factor first is not multiplied: the rest of the product is
+    added or subtracted, which is exact.  With ``floors_at``, an array output
+    is split in place into its fractional part and a fresh floor array, the
+    fractional part set to 0.0 where t - floor(t) rounds up to 1.0; a scalar
+    output is split as in the loop.  No entry is written.
 
     Two shortcuts keep the plan's outputs bit for bit at finite entries.  A
     term with a known factor of +-0.0 is skipped, as the exact loop skips a
@@ -229,54 +307,78 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True):
     last stage's sums, started from 0, absorb those, and its fractional
     parts t - floor(t) are +0.0 at either zero.
     """
+    terms = _stage_terms(stages, arrays)
+    live, used = _live(stages, terms, keep)
     entries = [("x%d" % j, a) for j, a in enumerate(arrays)]  # (source text, is array)
     args = ", ".join(text for text, _ in entries)
-    first_array = next((text for text, a in entries if a), None)
-    lines, scratch = [], False
-    for n, (polys, floors_at, known) in enumerate(stages):
+    first_array = next((text for j, (text, a) in enumerate(entries) if a and j in used), None)
+    lines, scratch, shared = [], False, {}  # shared: a product's factors -> its buffer
+    for n, ((_, floors_at, known), outputs, alive) in enumerate(zip(stages, terms, live)):
         loose = n < len(stages) - 1 or floors_at is not None and not floors_out
         read = iter(entries)
         entries = [next(read) if k is None else (repr(k), False) for k in known]
-        known = list(known)
+
+        def entry(j: int, i: int) -> tuple:
+            # entry j as output i reads it: an earlier output's floor, or the stage's entry
+            if floors_at is not None and 0 <= j - floors_at < i:
+                i = j - floors_at
+                return ("f%d_%d" % (n, i), outputs[i][2]) if i in alive else ("None", False)
+            return entries[j]
+
+        # each computed output's terms as (has an array factor, op, factors): a
+        # scalar term's one factor is its value, an array term's its product's
+        forms = {}
+        for i in sorted(alive):
+            forms[i] = []
+            for c, mono in outputs[i][0]:
+                texts = [entry(j, i) for j in mono]
+                k = next((p for p, (_, a) in enumerate(texts) if a), len(mono))
+                scalar = "(%s)" % " * ".join([repr(c)] + [t for t, _ in texts[:k]])
+                if k == len(mono):
+                    forms[i].append((False, "np.add", [scalar]))
+                    continue
+                unit = c in (1.0, -1.0) and k == 0
+                forms[i].append((True, "np.subtract" if unit and c < 0 else "np.add",
+                                 ([] if unit else [scalar]) + [t for t, _ in texts[k:]]))
+        starts = Counter(tuple(f[:p]) for form in forms.values() for arr, _, f in form
+                         if arr for p in range(2, len(f) + 1))
+
+        def prefix(factors: list):
+            # the longest product that starts factors and another term
+            return next((tuple(factors[:p]) for p in range(len(factors), 1, -1)
+                         if starts[tuple(factors[:p])] > 1), None)
+
+        def product(P: tuple) -> str:
+            # the buffer of the shared product P, formed on first use
+            if P not in shared:
+                shared[P] = "p%d" % len(shared)
+                lines.append("%s = np.multiply(%s, %s)" % (shared[P], P[0], P[1]))
+                lines.extend("np.multiply(%s, %s, out=%s)" % (shared[P], f, shared[P])
+                             for f in P[2:])
+            return shared[P]
+
         outs = []
-        for i, poly in enumerate(polys):
-            terms = []  # (coefficient, unfolded factors, is zero, has an array factor)
-            for c, mono in poly:
-                c, lead = float(c), 0
-                while lead < len(mono) and known[mono[lead]] is not None:
-                    c, lead = c * known[mono[lead]], lead + 1
-                mono = mono[lead:]
-                terms.append((c, mono, c == 0.0 or any(known[j] == 0.0 for j in mono),
-                              any(entries[j][1] for j in mono)))
-            spare = not any(arr and not zero for _, _, zero, arr in terms)
-            o, start, s, skipped = "o%d_%d" % (n, i), None, "0", False
+        for i, (_, skipped, array) in enumerate(outputs):
+            if i not in alive:
+                outs.append(("None", False))
+                continue
+            o, start, s = "o%d_%d" % (n, i), None, "0"
             # the sum so far: "s", the scalar s (the int 0 until a scalar term
             # is added); "start", the entry start; "o", the array o
             state = "s"
-            for c, mono, zero, arr in terms:
-                if zero and not (arr and spare):
-                    skipped = True
-                    continue
-                spare = spare and not arr
-                k = next((p for p, j in enumerate(mono) if entries[j][1]), len(mono))
-                scalar = "(%s)" % " * ".join([repr(c)] + [entries[j][0] for j in mono[:k]])
-                op = "np.add"
-                if k == len(mono):
-                    value = scalar
-                else:
-                    unit = c in (1.0, -1.0) and k == 0
-                    factors = ([] if unit else [scalar]) + [entries[j][0] for j in mono[k:]]
-                    if unit and c < 0:
-                        op = "np.subtract"
-                    value = factors[0]
-                    if len(factors) > 1:
-                        # the product into the output (its first array term) or the scratch
-                        value = "b" if state == "o" else o
-                        scratch |= value == "b"
-                        lines.append("%s = np.multiply(%s, %s%s)" % (
-                            value, factors[0], factors[1], ", out=b" if value == "b" else ""))
-                        lines += ["np.multiply(%s, %s, out=%s)" % (value, f, value)
-                                  for f in factors[2:]]
+            for arr, op, factors in forms[i]:
+                P = prefix(factors) if arr else None
+                if P:
+                    factors = [product(P)] + factors[len(P):]
+                value = factors[0]
+                if arr and len(factors) > 1:
+                    # the product into the output (its first array term) or the scratch
+                    value = "b" if state == "o" else o
+                    scratch |= value == "b"
+                    lines.append("%s = np.multiply(%s, %s%s)" % (
+                        value, factors[0], factors[1], ", out=b" if value == "b" else ""))
+                    lines += ["np.multiply(%s, %s, out=%s)" % (value, f, value)
+                              for f in factors[2:]]
                 if state == "o":
                     lines.append("%s(%s, %s, out=%s)" % (op, o, value, o))
                 elif state == "start":
@@ -307,11 +409,11 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True):
                               else "%s = np.subtract(%s, %s)" % (o, start, f),
                               "%s[%s >= 1.0] = 0.0" % (o, o)]
                     state = "o"
-                entries[floors_at + i], known[floors_at + i] = (f, state != "s"), None
-            outs.append((start if state == "start" else o, state != "s"))
+            outs.append((start if state == "start" else o, array))
         result = "[%s]" % ", ".join(text for text, _ in outs)
         if floors_at is not None and floors_out:
-            result += ", [%s]" % ", ".join(text for text, _ in entries[floors_at:])
+            result += ", [%s]" % ", ".join(entry(j, len(outputs))[0]
+                                           for j in range(floors_at, len(entries)))
         entries = outs
     if scratch:
         lines.insert(0, "b = np.empty_like(%s)" % first_array)
@@ -672,35 +774,63 @@ def identity_automorphism(alg: NilLieAlgebra) -> UnipotentAutomorphism:
 # ---------------------------------------------------------------------------
 
 _STEP_PLANS: dict[tuple, object] = {}
+_CLOSURES: dict[tuple, frozenset] = {}
 
 
 def affine_step(alg: NilLieAlgebra, A: UnipotentAutomorphism | None, g: list):
     """The float step x -> g * A(x) reduced mod the lattice, A None for the
-    identity and g a list of floats, as a function of a float point that
-    returns the reduced point.  At finite points it is bit for bit
-    ``reduce_mod_lattice(alg, multiply(alg, g, apply_automorphism(alg, A, x)))[0]``.
+    identity and g a list of floats, as a function ``step(values, read=None)``
+    of a float point that returns the reduced point.  At finite points it is
+    bit for bit ``reduce_mod_lattice(alg, multiply(alg, g, apply_automorphism(
+    alg, A, x)))[0]``.
+
+    With ``read``, a set of coordinates, the step computes only the closure
+    of ``read`` (``step.closure(read)``): the smallest set that holds it and
+    every input its coordinates need through the automorphism, multiply and
+    lattice tables, floors included, term by term as the plan forms them.  It
+    returns None at every other coordinate, and reads none there, so those
+    entries may be None: a walk that reads a few coordinates carries only
+    their closure.  The closure is derived for points whose entries are
+    arrays, and cached per generator and read set.
 
     The three tables run as one plan (:func:`_float_plan`) with g and the
     lattice table's zero starts known, so a zero coordinate of g, and the
     whole translation when g is the identity, costs nothing.  The plan is
-    compiled on the first call for each pattern of array and scalar entries
-    and kept under (alg.key, A.key, g's bit patterns, that pattern), shared by
-    every system with an equal generator; building the function compiles
-    nothing.
+    compiled on the first call for each closure and pattern of array and
+    scalar entries in it, and kept under (alg.key, A.key, g's bit patterns,
+    the closure, that pattern), shared by every system with an equal
+    generator; building the function compiles nothing.  The full step is the
+    plan at the full set.
     """
     m = alg.dim
     g = [float(t) for t in g]
     head = (alg.key, None if A is None else A.key, np.array(g, dtype=np.float64).tobytes())
+    everything = frozenset(range(m))
 
-    def step(values: list) -> list:
-        values = [_float_entry(v) for v in values]
-        key = head + (tuple(isinstance(v, np.ndarray) for v in values),)
+    def stages() -> list:
+        out = [] if A is None else [(_automorphism_table(alg, A).exact, None, (None,) * m)]
+        return out + [(_multiply_table(alg).exact, None, tuple(g) + (None,) * m),
+                      (_times_lattice.table(alg).exact, m, (None,) * m + (0.0,) * m)]
+
+    def closure(read) -> frozenset:
+        key = head + (frozenset(read),)
+        if key not in _CLOSURES:
+            chain = stages()
+            terms, keep = _stage_terms(chain, (True,) * m), key[-1]
+            while not (need := _live(chain, terms, keep)[1]) <= keep:
+                keep |= need
+            _CLOSURES[key] = keep
+        return _CLOSURES[key]
+
+    def step(values: list, read=None) -> list:
+        keep = everything if read is None else closure(read)
+        values = [_float_entry(v) if j in keep else None for j, v in enumerate(values)]
+        key = head + (keep, tuple(isinstance(v, np.ndarray) for v in values))
         plan = _STEP_PLANS.get(key)
         if plan is None:
-            stages = [] if A is None else [(_automorphism_table(alg, A).exact, None, (None,) * m)]
-            stages += [(_multiply_table(alg).exact, None, tuple(g) + (None,) * m),
-                       (_times_lattice.table(alg).exact, m, (None,) * m + (0.0,) * m)]
-            plan = _STEP_PLANS[key] = _float_plan(stages, key[-1], floors_out=False)
+            plan = _STEP_PLANS[key] = _float_plan(stages(), key[-1], floors_out=False,
+                                                  keep=keep)
         return plan(*values)
 
+    step.closure = closure
     return step

@@ -226,8 +226,11 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
     """f(pts) for every Observable f of ``fs``, one exponential per coordinate.
 
     e(x_j) = exp(2 pi i x_j) is computed once for each coordinate j that some
-    term uses, by :func:`_exp_2pi_i` (within 1e-15 of the exact value).  The
-    character of a frequency vector k is the product, in coordinate order, of
+    term uses, by :func:`_exp_2pi_i` (within 1e-15 of the exact value).  A
+    point of a walk carries only the coordinates it reads (None at the
+    others), so the constant character and an empty f take their shape from
+    the first coordinate the batch carries.  The character of a frequency
+    vector k is the product, in coordinate order, of
     the powers e(x_j)^|k_j|, each built by repeated multiplication and
     conjugated when k_j < 0; f = sum_k a_k e(<k, x>) is summed in term order.
     A character is built the same way whichever observables share the call,
@@ -238,6 +241,7 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
     """
     powers: dict[int, list] = {}  # j -> [e(x_j), e(x_j)^2, ...]
     chars: dict[tuple, np.ndarray] = {}
+    shape = next((np.shape(v) for v in pts if v is not None), ())
 
     def power(j: int, m: int) -> np.ndarray:
         if j not in powers:
@@ -251,7 +255,7 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
         if k not in chars:
             factors = [power(j, kj) if kj > 0 else np.conj(power(j, -kj))
                        for j, kj in enumerate(k) if kj]
-            chi = factors[0] if factors else np.ones(np.shape(pts[0]) if k else (), dtype=complex)
+            chi = factors[0] if factors else np.ones(shape, dtype=complex)
             for p in factors[1:]:
                 chi = chi * p
             chars[k] = chi
@@ -259,7 +263,7 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
 
     def value(f: Observable) -> np.ndarray:
         if not f.terms:
-            return np.zeros(np.shape(pts[0]) if f.dim else (), dtype=complex)
+            return np.zeros(shape, dtype=complex)
         terms = (character(k) if a == 1 else a * character(k) for k, a in f.terms.items())
         return reduce(np.add, terms)
 
@@ -377,7 +381,10 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     out keeps its previous row, and along T1 its previous lag sums are added
     again; row n1 = 0 is contracted over every lag, so step 1 may reuse it.
     The same bits give the same values and sums, so the result is bit for bit
-    that of evaluating every part at every step.
+    that of evaluating every part at every step.  The walks step only the
+    closure of the coordinates the parts read, under T1 and T2 for a joint
+    walk (:meth:`NumericSystem.closure`); a callable may read any coordinate,
+    so it makes them step every one.
     """
     num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
@@ -388,6 +395,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
             parts.append(f)
         where.append(slot[key])
     reads = [f.coordinates if isinstance(f, Observable) else None for f in parts]
+    keep = num.closure(None if None in reads else frozenset().union(*reads), 2 if K2 else 1)
 
     def values(pts: list, fresh) -> list:
         # the fresh Observables share one evaluation; callables run one by one in
@@ -405,12 +413,12 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
-            for j, (z, fresh) in enumerate(_walk(num.step2, chunk, 2 * K2, reads)):
+            for j, (z, fresh) in enumerate(_walk(lambda z: num.step2(z, keep), chunk, 2 * K2, reads)):
                 for q, fz in enumerate(values(z, fresh)):
                     kept[q, j] = kept[q, j - 1] if fz is None else np.conj(fz)
                 if j == K2:
                     y = z
-            for n1, (x, fresh) in enumerate(_walk(num.step, y, K1, reads)):
+            for n1, (x, fresh) in enumerate(_walk(lambda x: num.step(x, keep), y, K1, reads)):
                 # f(y) is conj of the kept row K2, exactly: conj only flips a sign
                 for q, fx in enumerate(values(x, fresh) if n1 else map(np.conj, kept[:, K2])):
                     if fx is not None:
@@ -734,16 +742,19 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     halved windows comes from the same :func:`_seminorm_power` call as the
     row's own, read off its running sum where the levels are equal.  A row
     whose sum is not finite (products that overflow) is named in a ValueError.
+    The walk steps only the closure of the coordinates f reads (every one for
+    a callable f).
     """
     depth = 1 + sum(H_levels)
     num, chunks = _chunks(sys, N, seed, SEMINORM_CHUNK, (depth - 1,))
+    keep = num.closure(f.coordinates if isinstance(f, Observable) else None, 1)
     sums = [(0j, 0j)] * len(orders)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             g = np.empty((depth, len(chunk[0])), dtype=complex)
             g[0] = f(chunk)
             for t in range(1, depth):
-                chunk = num.step(chunk)
+                chunk = num.step(chunk, keep)
                 g[t] = f(chunk)
             for q, s in enumerate(orders):
                 full, half = _seminorm_power(g, s, H_levels[:s], halved=True)

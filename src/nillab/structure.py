@@ -151,12 +151,14 @@ class NumericSystem:
     Each of the system's generators x -> g * A(x) is held in ``pairs`` as an
     affine pair (A, g), g evaluated at the system's default assignment and A
     None when it is the identity, whose table is then skipped.  Its reduced
-    step is :func:`group.affine_step`: one plan per generator and pattern of
-    array entries, with g folded in, compiled on the first step and cached in
-    ``group`` for every system with an equal generator, so building a
-    NumericSystem compiles nothing.  ``step`` walks the first generator and
-    ``step2`` the second.  Only forward steps exist: the estimators walk
-    every orbit forward.
+    step is :func:`group.affine_step`: one plan per generator, closure and
+    pattern of array entries, with g folded in, compiled on the first step and
+    cached in ``group`` for every system with an equal generator, so building
+    a NumericSystem compiles nothing.  ``step`` walks the first generator and
+    ``step2`` the second; each returns every coordinate, or with ``read`` a
+    set of coordinates closed under the walk (:meth:`closure`), only those,
+    None at the others.  Only forward steps exist: the estimators walk every
+    orbit forward.
     """
 
     def __init__(self, sys: AffineNilsystem):
@@ -167,14 +169,24 @@ class NumericSystem:
                       for A, g in sys.generators]
         self._steps = [gp.affine_step(self.alg, *pair) for pair in self.pairs]
 
-    def step(self, pts: list) -> list:
-        """pts is a list of m arrays (or floats); returns T(pts), reduced."""
-        return self._steps[0](pts)
+    def closure(self, read, generators: int) -> frozenset:
+        """The coordinates a walk along the first ``generators`` generators
+        steps to read the coordinates ``read`` (None: all of them): the
+        smallest set that holds ``read`` and each generator's closure of
+        itself, so one set serves a joint walk's T1 and T2 steps alike."""
+        keep = frozenset(range(self.alg.dim) if read is None else read)
+        while (wider := keep.union(*(s.closure(keep) for s in self._steps[:generators]))) != keep:
+            keep = wider
+        return keep
 
-    def step2(self, pts: list) -> list:
+    def step(self, pts: list, read=None) -> list:
+        """pts is a list of m arrays (or floats); returns T(pts), reduced."""
+        return self._steps[0](pts, read)
+
+    def step2(self, pts: list, read=None) -> list:
         if len(self._steps) == 1:
             raise ValueError("step2 walks a second generator; the system has one generator")
-        return self._steps[1](pts)
+        return self._steps[1](pts, read)
 
     def sample_points(self, count: int, seed: int | None) -> list:
         pts = gp.haar_sample(self.alg.dim, count, seed)

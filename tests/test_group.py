@@ -434,6 +434,41 @@ def test_step_plan_is_bitwise_the_three_tables(data):
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
 
+@settings(max_examples=100, deadline=None)
+@given(hst.data())
+def test_pruned_step_plans_keep_the_full_plans_outputs(data):
+    """A step with a read set computes its closure, which holds the read set
+    and is its own closure, bit for bit as the full step does; it reads no
+    entry outside the closure (those are None here) and returns None there.
+    The points are arrays with entries in (-4, 4), unreduced, so every floor
+    a kept output reads can be nonzero.  The base algebras' own sparse bases
+    and zero translation coordinates give outputs that read an input only
+    through a floor, as heisenberg4's output 4 reads x1."""
+    dim, brackets = data.draw(hst.sampled_from(ADAPTED_BASES))
+    base = NilLieAlgebra.from_brackets(
+        dim, {ij: {k: F(c) for k, c in cs.items()} for ij, cs in brackets.items()})
+    alg = data.draw(hst.one_of(hst.just(base), adapted_algebras()))
+    m = alg.dim
+    A = data.draw(hst.one_of(unipotent_automorphisms(alg), hst.none()))
+    g = data.draw(hst.lists(hst.one_of(hst.just(0.0), translation_entries),
+                            min_size=m, max_size=m))
+    step = gp.affine_step(alg, A, g)
+    read = data.draw(hst.frozensets(hst.integers(0, m - 1), max_size=2))
+    keep = step.closure(read)
+    assert read <= keep and step.closure(keep) == keep
+    size = data.draw(hst.integers(1, 4))
+    x = [np.array(data.draw(hst.lists(float_entries, min_size=size, max_size=size)))
+         for _ in range(m)]
+    full = step(x)
+    pruned = step([v if j in keep else None for j, v in enumerate(x)], read)
+    assert len(pruned) == m
+    for j, (a, b) in enumerate(zip(pruned, full)):
+        if j in keep:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        else:
+            assert a is None
+
+
 # ---------------------------------------------------------------------------
 # Lattice reduction
 # ---------------------------------------------------------------------------

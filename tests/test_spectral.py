@@ -428,6 +428,30 @@ def test_kept_part_is_evaluated_once_per_chunk(monkeypatch):
     assert np.max(np.abs(got - want[0])) <= 1e-15 * abs(want[0][K])
 
 
+def test_parts_beside_a_pruned_walk_take_the_batch_shape():
+    """heisenberg4's e_y reads coordinate 1, whose closure is {1}, so its walk
+    carries no coordinate 0.  A constant and an empty part beside it are one
+    value per point, from the batch's shape, on a walked point as on the
+    sample; their series are the whole-batch oracle's bit for bit over three
+    chunks, and so are those of constants alone, whose walk steps nothing."""
+    sys = catalog_build("heisenberg4")
+    e_y, two, empty = (Observable.character(6, (0, 1, 0, 0, 0, 0)),
+                       Observable.constant(6, 2.0), Observable(6, {}))
+    num = sys.numeric()
+    x = num.step(num.sample_points(1000, 2), frozenset({1}))
+    assert x[0] is None
+    assert [v.shape for v in sp.evaluate_observables([e_y, two, empty], x)] == [(1000,)] * 3
+    K, N = 4, 2 * _C + 10
+    for fs in ([e_y, two, empty], [two, Observable.constant(6, 0.5j)]):
+        got = [s.values for s in autocorrelation_many(sys, fs, K, N, seed=11)]
+        want = oracles.correlations(sys, fs, K, 0, N, 11)
+        for f, g, w in zip(fs, got, want):
+            if f is e_y:
+                assert np.max(np.abs(g - w)) <= 1e-15 * abs(w[K])
+            else:
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 def test_joint_autocorrelation_memory_is_bounded_by_the_chunk():
     """A whole-batch walk would hold a (2 K2 + 1) x N block, 52.8 MB at
     K2 = 16 and N = 10^5; the chunked walk holds one (2 K2 + 1) x chunk
@@ -1081,9 +1105,9 @@ def test_joint_autocorrelation_walks_each_generator_forward_once(monkeypatch):
     """One grid (K1, K2) costs K1 steps of T1 and 2 K2 steps of T2."""
     calls = {"step": 0, "step2": 0}
     for name in calls:
-        def counted(self, pts, _step=getattr(st.NumericSystem, name), _name=name):
+        def counted(self, pts, read=None, _step=getattr(st.NumericSystem, name), _name=name):
             calls[_name] += 1
-            return _step(self, pts)
+            return _step(self, pts, read)
         monkeypatch.setattr(st.NumericSystem, name, counted)
     joint_autocorrelation(catalog_build("z2_skew"), Observable.character(2, (0, 1)),
                           (5, 3), 1024, seed=1)

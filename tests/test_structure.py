@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -394,6 +395,73 @@ def test_step_plans_are_compiled_once_per_generator(monkeypatch):
     catalog_build("heisenberg3").numeric().step(pts)
     num.step(pts)
     assert len(made) == 1
+    # a walk that reads x alone steps its closure {x}: a plan of its own, from
+    # the whole first point on, which a second such walk reuses
+    for walk in range(2):
+        x = pts
+        for _ in range(3):
+            x = catalog_build("heisenberg3").numeric().step(x, frozenset({0}))
+        assert len(made) == 2
+        assert x[0] is not None and x[1] is None and x[2] is None
+
+
+#: Each read set's closure under T1, the coordinates a walk steps to read it;
+#: z2_skew's joint walk steps the same sets
+CLOSURES = {
+    "heisenberg4": {0: {0}, 1: {1}, 2: {2}, 3: {0, 1, 3}, 4: {1, 2, 4}, 5: set(range(6))},
+    "heisenberg3": {0: {0}, 1: {1}, 2: {0, 1, 2}},
+    "skew_torus_ergodic": {0: {0}, 1: {0, 1}},
+    "skew_torus_nonergodic": {0: {0}, 1: {0, 1}},
+    "z2_skew": {0: {0}, 1: {0, 1}},
+    "rot_torus": {0: {0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_walk_closures_of_the_catalog(name):
+    """The closures derived from the plans' terms and floors: output 5 of
+    heisenberg4's step reads x4 floor(x0), and x3 and x1 through floor(x0)
+    and floor(x2), so it needs every coordinate."""
+    num = catalog_build(name).numeric()
+    for j, want in CLOSURES[name].items():
+        assert num._steps[0].closure({j}) == want
+        for generators in range(1, len(num._steps) + 1):
+            assert num.closure({j}, generators) == want
+    assert num.closure(set(), 1) == frozenset()
+    assert num.closure(None, 1) == frozenset(range(num.alg.dim))
+
+
+def test_joint_closure_is_closed_under_both_generators():
+    """A joint walk steps one set under T1 and T2: the fixed point of both
+    generators' closures, here wider than either generator's own.  The
+    closure reads only the steps, so the stand-in's shears need not commute."""
+    alg = NilLieAlgebra(3, 1, {})
+    A1 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(1), F(1), F(0)], [F(0), F(0), F(1)]])
+    A2 = gp.UnipotentAutomorphism(alg, [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(1), F(1)]])
+    g = [F(1, 3), F(1, 5), F(1, 7)]
+    num = st.NumericSystem(SimpleNamespace(algebra=alg, generators=[(A2, g), (A1, g)],
+                                           default_assignment={}))
+    assert num._steps[0].closure({2}) == {1, 2}
+    assert num._steps[1].closure({1}) == {0, 1}
+    assert num.closure({2}, 1) == {1, 2}
+    assert num.closure({2}, 2) == {0, 1, 2}
+
+
+def test_a_product_that_starts_two_terms_is_formed_once(monkeypatch):
+    """heisenberg4's multiply stage has the term (-u) x0 in output 3 and
+    (-u) x0 x2 in output 5: the full plan forms (-u) x0 once, and so does the
+    plan of output 3's closure, which needs output 3 alone."""
+    sources = []
+    monkeypatch.setattr(gp, "_STEP_PLANS", {})
+    monkeypatch.setattr(gp, "exec", lambda source, namespace: sources.append(source)
+                        or exec(source, namespace), raising=False)
+    num = catalog_build("heisenberg4").numeric()
+    u = num.pairs[0][1][1]
+    pts = num.sample_points(64, 1)
+    for read in (None, frozenset({3})):
+        num.step(pts, read)
+    product = "np.multiply((%r), x0" % -u
+    assert [source.count(product) for source in sources] == [1, 1]
 
 
 def test_step_plans_are_keyed_by_the_translation_bits(monkeypatch):
