@@ -13,7 +13,6 @@ per coordinate, so every operation vectorizes over point batches).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -282,12 +281,13 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     known ones when the plan is built; from there on the work is in place.
     An output's first array term becomes the output array, to which the
     running scalar is added (so 0 + -0.0 is 0.0, as in the loop); each later
-    array term is multiplied into one scratch buffer and added in place.  A
-    product that starts two or more of a stage's terms (the same factors in
-    the same order) is formed once, into a buffer of its own, and each of
-    those terms goes on from it.  A coefficient of exactly 1.0 or -1.0 that
-    meets an array factor first is not multiplied: the rest of the product is
-    added or subtracted, which is exact.  With ``floors_at``, an array output
+    array term is multiplied into one scratch buffer and added in place; a
+    term whose product starts with the product the scratch holds (the same
+    factors in the same order, formed earlier in the stage) goes on from it,
+    so a product that starts two such terms in a row is formed once, with no
+    buffer of its own.  A coefficient of exactly 1.0 or -1.0 that meets an
+    array factor first is not multiplied: the rest of the product is added
+    or subtracted, which is exact.  With ``floors_at``, an array output
     is split in place into its fractional part and a fresh floor array, the
     fractional part set to 0.0 where t - floor(t) rounds up to 1.0; a scalar
     output is split as in the loop.  No entry is written.
@@ -312,7 +312,7 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     entries = [("x%d" % j, a) for j, a in enumerate(arrays)]  # (source text, is array)
     args = ", ".join(text for text, _ in entries)
     first_array = next((text for j, (text, a) in enumerate(entries) if a and j in used), None)
-    lines, scratch, shared = [], False, {}  # shared: a product's factors -> its buffer
+    lines, scratch = [], False
     for n, ((_, floors_at, known), outputs, alive) in enumerate(zip(stages, terms, live)):
         loose = n < len(stages) - 1 or floors_at is not None and not floors_out
         read = iter(entries)
@@ -325,40 +325,8 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
                 return ("f%d_%d" % (n, i), outputs[i][2]) if i in alive else ("None", False)
             return entries[j]
 
-        # each computed output's terms as (has an array factor, op, factors): a
-        # scalar term's one factor is its value, an array term's its product's
-        forms = {}
-        for i in sorted(alive):
-            forms[i] = []
-            for c, mono in outputs[i][0]:
-                texts = [entry(j, i) for j in mono]
-                k = next((p for p, (_, a) in enumerate(texts) if a), len(mono))
-                scalar = "(%s)" % " * ".join([repr(c)] + [t for t, _ in texts[:k]])
-                if k == len(mono):
-                    forms[i].append((False, "np.add", [scalar]))
-                    continue
-                unit = c in (1.0, -1.0) and k == 0
-                forms[i].append((True, "np.subtract" if unit and c < 0 else "np.add",
-                                 ([] if unit else [scalar]) + [t for t, _ in texts[k:]]))
-        starts = Counter(tuple(f[:p]) for form in forms.values() for arr, _, f in form
-                         if arr for p in range(2, len(f) + 1))
-
-        def prefix(factors: list):
-            # the longest product that starts factors and another term
-            return next((tuple(factors[:p]) for p in range(len(factors), 1, -1)
-                         if starts[tuple(factors[:p])] > 1), None)
-
-        def product(P: tuple) -> str:
-            # the buffer of the shared product P, formed on first use
-            if P not in shared:
-                shared[P] = "p%d" % len(shared)
-                lines.append("%s = np.multiply(%s, %s)" % (shared[P], P[0], P[1]))
-                lines.extend("np.multiply(%s, %s, out=%s)" % (shared[P], f, shared[P])
-                             for f in P[2:])
-            return shared[P]
-
-        outs = []
-        for i, (_, skipped, array) in enumerate(outputs):
+        outs, held = [], []  # held: the factors whose product the scratch b holds
+        for i, (kept, skipped, array) in enumerate(outputs):
             if i not in alive:
                 outs.append(("None", False))
                 continue
@@ -366,19 +334,31 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
             # the sum so far: "s", the scalar s (the int 0 until a scalar term
             # is added); "start", the entry start; "o", the array o
             state = "s"
-            for arr, op, factors in forms[i]:
-                P = prefix(factors) if arr else None
-                if P:
-                    factors = [product(P)] + factors[len(P):]
-                value = factors[0]
-                if arr and len(factors) > 1:
-                    # the product into the output (its first array term) or the scratch
-                    value = "b" if state == "o" else o
-                    scratch |= value == "b"
-                    lines.append("%s = np.multiply(%s, %s%s)" % (
-                        value, factors[0], factors[1], ", out=b" if value == "b" else ""))
-                    lines += ["np.multiply(%s, %s, out=%s)" % (value, f, value)
-                              for f in factors[2:]]
+            for c, mono in kept:
+                texts = [entry(j, i) for j in mono]
+                k = next((p for p, (_, a) in enumerate(texts) if a), len(mono))
+                scalar = "(%s)" % " * ".join([repr(c)] + [t for t, _ in texts[:k]])
+                op, arr = "np.add", k < len(mono)
+                if not arr:
+                    value = scalar
+                else:
+                    unit = c in (1.0, -1.0) and k == 0
+                    factors = ([] if unit else [scalar]) + [t for t, _ in texts[k:]]
+                    if unit and c < 0:
+                        op = "np.subtract"
+                    value = factors[0]
+                    if len(factors) > 1:
+                        # the product into the output (its first array term) or the scratch
+                        value = "b" if state == "o" else o
+                        if value == "b" and held and factors[:len(held)] == held:
+                            rest = factors[len(held):]  # b holds the product's start
+                        else:
+                            lines.append("%s = np.multiply(%s, %s%s)" % (
+                                value, factors[0], factors[1], ", out=b" if value == "b" else ""))
+                            rest = factors[2:]
+                        lines += ["np.multiply(%s, %s, out=%s)" % (value, f, value) for f in rest]
+                        if value == "b":
+                            scratch, held = True, factors
                 if state == "o":
                     lines.append("%s(%s, %s, out=%s)" % (op, o, value, o))
                 elif state == "start":

@@ -10,7 +10,7 @@ histograms) used to check the discrete/Lebesgue dichotomy on concrete systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import product
 from math import gcd, isfinite
 
@@ -230,9 +230,9 @@ def evaluate_observables(fs: list[Observable], pts: list) -> list[np.ndarray]:
     point of a walk carries only the coordinates it reads (None at the
     others), so the constant character and an empty f take their shape from
     the first coordinate the batch carries.  The character of a frequency
-    vector k is the product, in coordinate order, of
-    the powers e(x_j)^|k_j|, each built by repeated multiplication and
-    conjugated when k_j < 0; f = sum_k a_k e(<k, x>) is summed in term order.
+    vector k is the product, in coordinate order, of the powers e(x_j)^|k_j|,
+    each built by repeated multiplication and conjugated when k_j < 0;
+    f = sum_k a_k e(<k, x>) is summed in term order.
     A character is built the same way whichever observables share the call,
     so each f gets exactly its value alone, and a unit character of one
     coordinate is exactly ``_exp_2pi_i(x_j)``.  Nothing is written in place,
@@ -396,6 +396,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
         where.append(slot[key])
     reads = [f.coordinates if isinstance(f, Observable) else None for f in parts]
     keep = num.closure(None if None in reads else frozenset().union(*reads), 2 if K2 else 1)
+    step, step2 = partial(num.step, read=keep), partial(num.step2, read=keep)
 
     def values(pts: list, fresh) -> list:
         # the fresh Observables share one evaluation; callables run one by one in
@@ -413,12 +414,12 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for chunk in chunks:
             kept = np.empty((len(parts), 2 * K2 + 1, len(chunk[0])), dtype=complex)
-            for j, (z, fresh) in enumerate(_walk(lambda z: num.step2(z, keep), chunk, 2 * K2, reads)):
+            for j, (z, fresh) in enumerate(_walk(step2, chunk, 2 * K2, reads)):
                 for q, fz in enumerate(values(z, fresh)):
                     kept[q, j] = kept[q, j - 1] if fz is None else np.conj(fz)
                 if j == K2:
                     y = z
-            for n1, (x, fresh) in enumerate(_walk(lambda x: num.step(x, keep), y, K1, reads)):
+            for n1, (x, fresh) in enumerate(_walk(step, y, K1, reads)):
                 # f(y) is conj of the kept row K2, exactly: conj only flips a sign
                 for q, fx in enumerate(values(x, fresh) if n1 else map(np.conj, kept[:, K2])):
                     if fx is not None:

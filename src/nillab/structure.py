@@ -180,7 +180,8 @@ class NumericSystem:
         return keep
 
     def step(self, pts: list, read=None) -> list:
-        """pts is a list of m arrays (or floats); returns T(pts), reduced."""
+        """pts is a list of m arrays (or floats); returns T(pts), reduced: every
+        coordinate, or with ``read`` only the closure of ``read`` under T."""
         return self._steps[0](pts, read)
 
     def step2(self, pts: list, read=None) -> list:

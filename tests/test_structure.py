@@ -450,18 +450,27 @@ def test_joint_closure_is_closed_under_both_generators():
 def test_a_product_that_starts_two_terms_is_formed_once(monkeypatch):
     """heisenberg4's multiply stage has the term (-u) x0 in output 3 and
     (-u) x0 x2 in output 5: the full plan forms (-u) x0 once, and so does the
-    plan of output 3's closure, which needs output 3 alone."""
+    plan of output 3's closure, which needs output 3 alone.  The lattice
+    stage's scratch terms x1' floor(x0) floor(x2) and x1' x2' floor(x0) of
+    output 5 share their first factor only, so the second is formed anew:
+    the full step is the plain loop of the tables bit for bit at unreduced
+    points, where those floors are nonzero."""
     sources = []
     monkeypatch.setattr(gp, "_STEP_PLANS", {})
     monkeypatch.setattr(gp, "exec", lambda source, namespace: sources.append(source)
                         or exec(source, namespace), raising=False)
     num = catalog_build("heisenberg4").numeric()
-    u = num.pairs[0][1][1]
-    pts = num.sample_points(64, 1)
+    A, g = num.pairs[0]
+    pts = list(np.random.default_rng(5).uniform(-4.0, 4.0, (6, 64)))
     for read in (None, frozenset({3})):
         num.step(pts, read)
-    product = "np.multiply((%r), x0" % -u
+    product = "np.multiply((%r), x0" % -g[1]
     assert [source.count(product) for source in sources] == [1, 1]
+    assert A is None
+    x = oracles.polynomial_map_float(gp.multiply.table(num.alg), list(g) + pts)
+    want, _ = oracles.polynomial_map_float(gp._times_lattice.table(num.alg), x + [0] * 6,
+                                           floors_at=6)
+    assert _bitwise_equal(num.step(pts), want)
 
 
 def test_step_plans_are_keyed_by_the_translation_bits(monkeypatch):
