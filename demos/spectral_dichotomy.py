@@ -11,7 +11,7 @@ from nillab.spectral import autocorrelation_many, classify, project_to_factor, w
 
 entry = catalog_entry("skew_torus_nonergodic")
 sys = entry.build()
-J = st.rational_closure_J(sys, st.tau_commutator_ideal(sys))
+J = st.discrete_factor_subgroup(sys)
 print("Discrete-factor kernel: span %s" % J.basis)
 print()
 

@@ -35,7 +35,7 @@ def vec_scale(c, x: list) -> list:
 
 
 def vec_is_zero(x: list) -> bool:
-    return all(linalg.is_zero_scalar(a) for a in x)
+    return not any(x)
 
 
 class NilLieAlgebra:

@@ -18,7 +18,6 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from . import linalg
 from .algebra import NilLieAlgebra, vec_is_zero, zero_vector
 from .scalars import ExtScalar, SymbolContext, floor_scalar
 
@@ -120,7 +119,9 @@ class PolynomialMap:
     included: a point of ints, Fractions and ExtScalars is evaluated exactly;
     a point with any float or numpy array entry is evaluated in floats,
     coefficients and exact entries alike, by a plan (:func:`_float_plan`)
-    built on first use for each pattern of array and scalar entries.
+    built on first use for each pattern of array and scalar entries.  Each
+    output is a sum that starts at the zero of its arithmetic, Fraction(0) or
+    0.0, so an output with no term is that zero.
 
     A float point mixes scalars with arrays of one shape, read as float64.
     No entry is written: every output array, and every floor array of a
@@ -133,15 +134,12 @@ class PolynomialMap:
 
     @classmethod
     def linear(cls, matrix: list[list]) -> "PolynomialMap":
-        return cls(
-            [(c, (j,)) for j, c in enumerate(row) if not linalg.is_zero_scalar(c)]
-            for row in matrix
-        )
+        return cls([(c, (j,)) for j, c in enumerate(row) if c] for row in matrix)
 
     def __call__(self, values: list, floors_at: int | None = None):
         """The outputs at ``values``; with ``floors_at = j``, the pair (fractional
         parts, floors), each output's floor written to ``values[j + i]`` before
-        output i + 1 is evaluated."""
+        output i + 1 is evaluated (the entries from j on, one per output)."""
         if all(isinstance(v, _EXACT_TYPES) for v in values):
             return self._exact(list(values), floors_at)
         values = [_float_entry(v) for v in values]
@@ -152,19 +150,15 @@ class PolynomialMap:
         return self._plans[key](*values)
 
     def _exact(self, values: list, floors_at: int | None):
-        """The plain loop, acc = 0 then acc = acc + c * x_j1 * x_j2 * ..., with
-        each term that has a zero factor skipped.  A skipped term can only
-        change the type of an int sum (to a Fraction), so it is added then."""
+        """The plain loop, acc = Fraction(0) then acc = acc + c * x_j1 * x_j2 *
+        ..., with each term that has a zero factor skipped."""
         out = []
         for i, poly in enumerate(self.exact):
-            acc = 0
-            for c0, mono in poly:
-                c = c0
+            acc = Fraction(0)
+            for c, mono in poly:
                 for j in mono:
                     x = values[j]
                     if not x:
-                        if acc.__class__ is int:
-                            acc = acc + _term(c0, mono, values)
                         break
                     c = c * x
                 else:
@@ -175,12 +169,6 @@ class PolynomialMap:
         return out if floors_at is None else (out, values[floors_at:])
 
 
-def _term(c, mono: tuple, values: list):
-    for j in mono:
-        c = c * values[j]
-    return c
-
-
 def _float_entry(v):
     """A float point's entry: an array as float64, else a scalar."""
     if isinstance(v, np.ndarray):
@@ -189,74 +177,73 @@ def _float_entry(v):
 
 
 def _stage_terms(stages, arrays: tuple) -> list:
-    """Per stage of a plan (:func:`_float_plan`), per output, the triple (terms,
-    skipped, is array): the terms the plan forms, each (c, mono) with c the float
-    coefficient times the monomial's leading known factors and mono the rest of
-    its variables; whether a term was skipped; whether the output is an array.
+    """Per stage of a plan (:func:`_float_plan`), per output, the pair (terms,
+    is array): the terms the plan forms, each (c, refs) with c the float
+    coefficient times the monomial's leading known factors, and refs the rest
+    of its factors, each named once as ("x", r), the stage's r-th unknown
+    entry; ("f", i), output i's floor; or ("k", v), a known value v.
 
-    A term is skipped when c is 0.0 or a known factor is +-0.0, unless it is the
-    first such term with an array factor of an output whose other array terms
-    are all skipped: that one is kept, so the output stays an array.  With
-    ``floors_at``, entry floors_at + i is unknown from output i + 1 on: it
-    holds output i's floor.
+    The unknown entries are the plan's arguments in order for the first stage,
+    and the previous stage's outputs in order for each later one.  With
+    ``floors_at``, entry floors_at + i holds output i's floor from output
+    i + 1 on.  A term is skipped when c is 0.0 or a known factor is +-0.0,
+    unless it is the first such term with an array factor of an output whose
+    other array terms are all skipped: that one is kept, so the output stays
+    an array.
     """
-    flags = list(arrays)
+    flags = list(arrays)  # whether each unknown entry is an array
     out = []
     for polys, floors_at, known in stages:
-        read = iter(flags)
-        flags = [next(read) if k is None else False for k in known]
-        known = list(known)
+        rank = iter(range(len(known)))
+        refs = [("x", next(rank)) if k is None else ("k", k) for k in known]
         outputs = []
+
+        def array(ref) -> bool:
+            kind, v = ref
+            return flags[v] if kind == "x" else kind == "f" and outputs[v][1]
+
         for i, poly in enumerate(polys):
-            terms = []  # (coefficient, unfolded factors, is zero, has an array factor)
+            terms = []  # (coefficient, factors, is zero, has an array factor)
             for c, mono in poly:
-                c, lead = float(c), 0
-                while lead < len(mono) and known[mono[lead]] is not None:
-                    c, lead = c * known[mono[lead]], lead + 1
-                mono = mono[lead:]
-                terms.append((c, mono, c == 0.0 or any(known[j] == 0.0 for j in mono),
-                              any(flags[j] for j in mono)))
+                c, factors = float(c), [refs[j] for j in mono]
+                while factors and factors[0][0] == "k":
+                    c = c * factors.pop(0)[1]
+                terms.append((c, tuple(factors), c == 0.0 or ("k", 0.0) in factors,
+                              any(map(array, factors))))
             spare = not any(arr and not zero for _, _, zero, arr in terms)
-            kept, skipped = [], False
-            for c, mono, zero, arr in terms:
+            kept = []
+            for c, factors, zero, arr in terms:
                 if zero and not (arr and spare):
-                    skipped = True
                     continue
                 spare = spare and not arr
-                kept.append((c, mono))
-            array = any(flags[j] for _, mono in kept for j in mono)
+                kept.append((c, factors))
+            outputs.append((kept, any(array(f) for _, factors in kept for f in factors)))
             if floors_at is not None:
-                flags[floors_at + i], known[floors_at + i] = array, None
-            outputs.append((kept, skipped, array))
+                refs[floors_at + i] = ("f", i)
         out.append(outputs)
-        flags = [array for _, _, array in outputs]
+        flags = [arr for _, arr in outputs]
     return out
 
 
-def _live(stages, terms: list, keep) -> tuple[list, set]:
+def _live(terms: list, keep) -> tuple[list, set]:
     """The outputs a plan computes to return the last stage's outputs ``keep``
-    (None: all of them), per stage, and the plan arguments they read.
-
-    Output i reads the entries of its terms (:func:`_stage_terms`) that are not
-    known constants; with ``floors_at``, entry floors_at + i' for i' < i is
-    output i''s floor, so output i' is computed first.
-    """
+    (None: all of them), per stage, and the plan arguments they read: output
+    i reads the unknown entries ("x", r) and the floors ("f", i') of its terms
+    (:func:`_stage_terms`), so output i' is computed first."""
     alive = set(range(len(terms[-1]))) if keep is None else set(keep)
     live = []
-    for (_, floors_at, known), outputs in zip(reversed(stages), reversed(terms)):
+    for outputs in reversed(terms):
         live.append(alive)
         need = set()
         for i in range(len(outputs) - 1, -1, -1):
-            if i not in alive:
-                continue
-            for _, mono in outputs[i][0]:
-                for j in mono:
-                    if floors_at is not None and 0 <= j - floors_at < i:
-                        alive.add(j - floors_at)
-                    elif known[j] is None:
-                        need.add(j)
-        # the unknown entries are the previous stage's outputs (or the arguments) in order
-        alive = {r for r, j in enumerate(j for j, k in enumerate(known) if k is None) if j in need}
+            if i in alive:
+                for _, factors in outputs[i][0]:
+                    for kind, v in factors:
+                        if kind == "f":
+                            alive.add(v)
+                        elif kind == "x":
+                            need.add(v)
+        alive = need
     return live[::-1], alive
 
 
@@ -270,15 +257,19 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     it reads no other entry, so those may be None.
 
     Each stage is (polys, floors_at, known): ``known[j]`` is the float value
-    of the stage's entry j when it is known as the plan is built, else None.
-    The unknown entries are the plan's arguments in order for the first
-    stage, and the previous stage's outputs in order for each later one.
+    of the stage's entry j when it is known as the plan is built, else None;
+    with ``floors_at``, the entries from floors_at on are its outputs'
+    floors, one per output.  :func:`_stage_terms` names each factor of each
+    term once, and both the liveness pass and the source below read those
+    names.
 
     Each stage keeps the arithmetic of the plain loop, in its order: per
-    output, acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term, each
-    product taken left to right.  Scalar factors before a monomial's first
-    array factor are multiplied into the coefficient as scalars, the leading
-    known ones when the plan is built; from there on the work is in place.
+    output, acc = 0.0, then acc = acc + c * x_j1 * x_j2 * ... term by term,
+    each product taken left to right; the source starts a scalar sum from
+    the int 0, which adds as 0.0 does, and an output with no term is 0.0.
+    Scalar factors before a monomial's first array factor are multiplied
+    into the coefficient as scalars, the leading known ones when the plan is
+    built; from there on the work is in place.
     An output's first array term becomes the output array, to which the
     running scalar is added (so 0 + -0.0 is 0.0, as in the loop); each later
     array term is multiplied into one scratch buffer and added in place; a
@@ -296,7 +287,7 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     term with a known factor of +-0.0 is skipped, as the exact loop skips a
     term with a zero factor (an output whose array terms all have one keeps
     the first, so it stays an array): the term is +-0.0, and adding +-0.0
-    changes no sum started from the int 0, as such a sum is never -0.0.  At
+    changes no sum started from 0.0, as such a sum is never -0.0.  At
     a non-finite entry the term would have been NaN.  And in a loose stage,
     one whose outputs only sums read, an output is not started from 0: a lone
     entry is passed on as it is, and an entry followed by another term is
@@ -308,25 +299,23 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
     parts t - floor(t) are +0.0 at either zero.
     """
     terms = _stage_terms(stages, arrays)
-    live, used = _live(stages, terms, keep)
+    live, used = _live(terms, keep)
     entries = [("x%d" % j, a) for j, a in enumerate(arrays)]  # (source text, is array)
     args = ", ".join(text for text, _ in entries)
     first_array = next((text for j, (text, a) in enumerate(entries) if a and j in used), None)
     lines, scratch = [], False
-    for n, ((_, floors_at, known), outputs, alive) in enumerate(zip(stages, terms, live)):
+    for n, ((_, floors_at, _), outputs, alive) in enumerate(zip(stages, terms, live)):
         loose = n < len(stages) - 1 or floors_at is not None and not floors_out
-        read = iter(entries)
-        entries = [next(read) if k is None else (repr(k), False) for k in known]
 
-        def entry(j: int, i: int) -> tuple:
-            # entry j as output i reads it: an earlier output's floor, or the stage's entry
-            if floors_at is not None and 0 <= j - floors_at < i:
-                i = j - floors_at
-                return ("f%d_%d" % (n, i), outputs[i][2]) if i in alive else ("None", False)
-            return entries[j]
+        def factor_text(ref) -> tuple:
+            # the source text of a factor (:func:`_stage_terms`), and whether it is an array
+            kind, v = ref
+            if kind == "x":
+                return entries[v]
+            return ("f%d_%d" % (n, v), outputs[v][1]) if kind == "f" else (repr(v), False)
 
         outs, held = [], []  # held: the factors whose product the scratch b holds
-        for i, (kept, skipped, array) in enumerate(outputs):
+        for i, (kept, array) in enumerate(outputs):
             if i not in alive:
                 outs.append(("None", False))
                 continue
@@ -334,11 +323,11 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
             # the sum so far: "s", the scalar s (the int 0 until a scalar term
             # is added); "start", the entry start; "o", the array o
             state = "s"
-            for c, mono in kept:
-                texts = [entry(j, i) for j in mono]
-                k = next((p for p, (_, a) in enumerate(texts) if a), len(mono))
+            for c, factors in kept:
+                texts = [factor_text(r) for r in factors]
+                k = next((p for p, (_, a) in enumerate(texts) if a), len(texts))
                 scalar = "(%s)" % " * ".join([repr(c)] + [t for t, _ in texts[:k]])
-                op, arr = "np.add", k < len(mono)
+                op, arr = "np.add", k < len(texts)
                 if not arr:
                     value = scalar
                 else:
@@ -377,8 +366,8 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
                     lines.append("%s = %s(%s, %s%s)" % (
                         o, op, s, value, ", out=%s" % o if value == o else ""))
                     state = "o"
-            if state == "s":  # a skipped term would have made an int 0 a float
-                lines.append("%s = %s" % (o, "0.0" if skipped and s == "0" else s))
+            if state == "s":
+                lines.append("%s = %s" % (o, "0.0" if s == "0" else s))
             if floors_at is not None:
                 f = "f%d_%d" % (n, i)
                 lines.append("%s = np.floor(%s)" % (f, start if state == "start" else o))
@@ -392,8 +381,8 @@ def _float_plan(stages, arrays: tuple, floors_out: bool = True, keep=None):
             outs.append((start if state == "start" else o, array))
         result = "[%s]" % ", ".join(text for text, _ in outs)
         if floors_at is not None and floors_out:
-            result += ", [%s]" % ", ".join(entry(j, len(outputs))[0]
-                                           for j in range(floors_at, len(entries)))
+            result += ", [%s]" % ", ".join("f%d_%d" % (n, i) if i in alive else "None"
+                                           for i in range(len(outputs)))
         entries = outs
     if scratch:
         lines.insert(0, "b = np.empty_like(%s)" % first_array)
@@ -795,9 +784,8 @@ def affine_step(alg: NilLieAlgebra, A: UnipotentAutomorphism | None, g: list):
     def closure(read) -> frozenset:
         key = head + (frozenset(read),)
         if key not in _CLOSURES:
-            chain = stages()
-            terms, keep = _stage_terms(chain, (True,) * m), key[-1]
-            while not (need := _live(chain, terms, keep)[1]) <= keep:
+            terms, keep = _stage_terms(stages(), (True,) * m), key[-1]
+            while not (need := _live(terms, keep)[1]) <= keep:
                 keep |= need
             _CLOSURES[key] = keep
         return _CLOSURES[key]

@@ -19,12 +19,6 @@ from .scalars import ExtScalar
 _ZERO = Fraction(0)
 
 
-def is_zero_scalar(x) -> bool:
-    if isinstance(x, ExtScalar):
-        return x.is_zero()
-    return x == 0
-
-
 def _unit_divisor(x):
     """A rational by which a row may be divided to normalize pivot x."""
     if isinstance(x, ExtScalar):

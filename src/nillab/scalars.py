@@ -125,9 +125,6 @@ class ExtScalar:
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_rational(self) -> bool:
         return all(all(e == 0 for e in expo) for expo in self.terms)
 

@@ -322,10 +322,11 @@ def _hermitian(half: np.ndarray) -> np.ndarray:
     return np.concatenate([np.conj(np.flip(half[1:])), half])
 
 
-def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
+def _chunks(sys: AffineNilsystem, fs: list, N: int, seed, size: int, lags):
     """The numeric system and the N sample points in chunks of ``size`` (lists
     of coordinate arrays, each chunk drawn when reached), after checking N (at
-    most 2^30 in ``haar_chunks``) and then each walk length in ``lags``."""
+    most 2^30 in ``haar_chunks``), each walk length in ``lags``, and then the
+    dimension of each Observable in ``fs``."""
     if N < 10 ** 3:
         raise ValueError("sample count must be at least 10^3")
     chunks = gp.haar_chunks(sys.algebra.dim, N, seed, size)
@@ -334,7 +335,16 @@ def _chunks(sys: AffineNilsystem, N: int, seed, size: int, lags):
             raise ValueError("lag must be nonnegative, got %d" % lag)
         if lag > MAX_LAG:
             raise LagBudgetError("lag %d exceeds the drift budget cap of %d" % (lag, MAX_LAG))
+    for f in fs:
+        _check_dimension(sys, f)
     return sys.numeric(), map(list, chunks)
+
+
+def _check_dimension(sys: AffineNilsystem, f) -> None:
+    """Raise unless f, when an Observable, has the system's dimension."""
+    if isinstance(f, Observable) and f.dim != sys.algebra.dim:
+        raise ObservableError("observable of dimension %d on a system of dimension %d"
+                              % (f.dim, sys.algebra.dim))
 
 
 def _same_bits(u: np.ndarray, v: np.ndarray) -> bool:
@@ -386,7 +396,7 @@ def _correlations(sys: AffineNilsystem, fs: list, K1: int, K2: int, N: int,
     walk (:meth:`NumericSystem.closure`); a callable may read any coordinate,
     so it makes them step every one.
     """
-    num, chunks = _chunks(sys, N, seed, CORRELATION_CHUNK, (K1, K2))
+    num, chunks = _chunks(sys, fs, N, seed, CORRELATION_CHUNK, (K1, K2))
     parts, where, slot = [], [], {}  # the distinct parts; fs[q] is parts[where[q]]
     for q, f in enumerate(fs):
         key = (f.dim, tuple(f.terms.items())) if isinstance(f, Observable) else q
@@ -747,7 +757,7 @@ def _seminorm_rows(sys: AffineNilsystem, f, orders, H_levels: tuple[int, ...], N
     a callable f).
     """
     depth = 1 + sum(H_levels)
-    num, chunks = _chunks(sys, N, seed, SEMINORM_CHUNK, (depth - 1,))
+    num, chunks = _chunks(sys, [f], N, seed, SEMINORM_CHUNK, (depth - 1,))
     keep = num.closure(f.coordinates if isinstance(f, Observable) else None, 1)
     sums = [(0j, 0j)] * len(orders)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
@@ -836,6 +846,7 @@ def project_to_factor(sys: AffineNilsystem, f, N_ideal: RationalIdeal,
     M = _integral(samples, "samples")
     if M < 1:
         raise ValueError("samples must be >= 1, got %d" % M)
+    _check_dimension(sys, f)
     check_factor_kernel(sys, N_ideal)
     alg = sys.algebra
     dirs = _primitive_ideal_basis(N_ideal)

@@ -215,7 +215,10 @@ def tau_commutator_ideal(sys: AffineNilsystem) -> RationalIdeal:
 
 
 def rational_closure_J(sys: AffineNilsystem, V: RationalIdeal) -> RationalIdeal:
-    """Smallest rational connected normal subgroup containing V, at algebra level."""
+    """Smallest rational connected normal subgroup containing V, at algebra
+    level: V's rational hull.  It reads nothing of ``sys`` and skips the
+    invariance check; :func:`discrete_factor_subgroup` gives the closure of
+    [tau, G] built once per system and checked invariant."""
     return la.rational_hull(V)
 
 

@@ -264,14 +264,14 @@ def exp_2pi_i_exact(x: float) -> complex:
 def polynomial_map_float(pmap, values, floors_at=None):
     """``pmap(values, floors_at)`` at a float point, by the plain loop.
 
-    Per output, acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term,
+    Per output, acc = 0.0, then acc = acc + c * x_j1 * x_j2 * ... term by term,
     a fresh value for every product and partial sum; with ``floors_at``, each
     output's floor is written to ``values[floors_at + i]`` before output i + 1.
     """
     values = [float(v) if isinstance(v, (int, Fraction, ExtScalar)) else v for v in values]
     out = []
     for i, poly in enumerate(pmap.exact):
-        acc = 0
+        acc = 0.0
         for c, mono in poly:
             c = float(c)
             for j in mono:
@@ -411,11 +411,11 @@ def reduce_vector_dense(rows, v):
 
 def polynomial_map_exact(pmap, values, floors_at=None):
     """``pmap(values, floors_at)`` at an exact point, every term formed:
-    acc = 0, then acc = acc + c * x_j1 * x_j2 * ... term by term."""
+    acc = Fraction(0), then acc = acc + c * x_j1 * x_j2 * ... term by term."""
     values = list(values)
     out = []
     for i, poly in enumerate(pmap.exact):
-        acc = 0
+        acc = Fraction(0)
         for c, mono in poly:
             for j in mono:
                 c = c * values[j]

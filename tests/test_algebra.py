@@ -252,10 +252,13 @@ def test_sparse_kernels_match_dense_oracles(data):
         with pytest.raises(gp.AutomorphismError, match=re.escape("pair %r" % (failure,))):
             gp.UnipotentAutomorphism(alg, shear)
     _same(gp._matmul(A.matrix, shear), oracles.matmul_dense(A.matrix, shear))
-    # exact polynomial maps: a chart at the sparse point, lattice reduction
-    # at a rational one with the integer zeros it is called with
+    # exact polynomial maps: a chart and a linear map with an empty row (an
+    # output with no term, which is Fraction(0)) at the sparse point, lattice
+    # reduction at a rational one with the integer zeros it is called with
     chart = gp.second_to_first.table(alg)
     _same(chart(x), oracles.polynomial_map_exact(chart, x))
+    linear = gp.PolynomialMap.linear([[0] * m] + rows)
+    _same(linear(x), oracles.polynomial_map_exact(linear, x))
     lattice = gp._times_lattice.table(alg)
     g = data.draw(hst.lists(hst.one_of(hst.just(Fraction(0)), small_fractions),
                             min_size=m, max_size=m)) + [0] * m

@@ -114,17 +114,21 @@ def test_discrete_factor_and_leibman_component_are_built_once_per_system(name):
 
 
 def test_heisenberg4_center_enters_only_through_ideal_closure():
-    """im(B - I) is 2-dimensional and misses the center; the smallest ideal
-    containing it picks the center up, which is what makes the commutator
-    ideal 3-dimensional."""
+    """The golden center is the nullspace of v -> ([v, e_i])_i.  im(B - I) is
+    2-dimensional and misses it; the smallest ideal containing im(B - I)
+    picks it up, which is what makes the commutator ideal 3-dimensional."""
     sys = catalog_build("heisenberg4")
+    alg = sys.algebra
+    (center,) = [[F(c) for c in v] for v in catalog_entry("heisenberg4").expected["center"]]
+    # column j of the map v -> ([v, e_i])_i is ([e_j, e_i])_i
+    columns = [[c for e in alg.basis() for c in alg.bracket(v, e)] for v in alg.basis()]
+    assert linalg.nullspace([list(row) for row in zip(*columns)]) == [center]
     B = st.total_conjugation(sys)
     image = [
         [B.matrix[k][i] - (1 if k == i else 0) for k in range(6)] for i in range(6)
     ]
     ech = linalg.echelon(image)
     assert len(ech) == 2
-    center = [F(0)] * 5 + [F(1)]
     assert not linalg.in_span(ech, center)
     tau_ideal = st.tau_commutator_ideal(sys)
     assert tau_ideal.dim == 3

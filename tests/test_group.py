@@ -1,7 +1,9 @@
 """Group-law tests cross-checked against exact unitriangular matrix arithmetic."""
 
+import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -353,7 +355,8 @@ def test_float_plans_are_bitwise_the_plain_loop(data):
     A = data.draw(unipotent_automorphisms(alg))
     tables = [(gp.multiply.table(alg), 2 * m, None), (gp.inverse.table(alg), m, None),
               (gp.second_to_first.table(alg), m, None), (gp.first_to_second.table(alg), m, None),
-              (gp._times_lattice.table(alg), 2 * m, m), (gp._automorphism_table(alg, A), m, None)]
+              (gp._times_lattice.table(alg), 2 * m, m), (gp._automorphism_table(alg, A), m, None),
+              (gp.PolynomialMap.linear([[0] * m, [1] * m]), m, None)]  # an output with no term
     for pmap, nvars, floors_at in tables:
         assert_plan_is_plain_loop(pmap, data.draw(float_points(nvars, size)), floors_at)
     # reduce_mod_lattice's own call: arrays, then scalar zeros for the floors
@@ -467,6 +470,42 @@ def test_pruned_step_plans_keep_the_full_plans_outputs(data):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
         else:
             assert a is None
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in catalog_list()])
+def test_step_plan_sources_read_exactly_the_live_arguments(name, monkeypatch):
+    """The source of each step plan reads exactly the arguments x<j> that
+    ``_live`` finds its kept outputs need, floors included, for every
+    generator of the catalog system at the closure of every read set and at
+    the full set: the liveness pass and the emitter read one naming of the
+    factors, so they cannot disagree."""
+    made = []  # [source, the arguments _live finds] per compiled plan
+    compile_plan, run = gp._float_plan, exec
+
+    def recorded(stages, arrays, floors_out=True, keep=None):
+        made.append([None, gp._live(gp._stage_terms(stages, arrays), keep)[1]])
+        return compile_plan(stages, arrays, floors_out, keep)
+
+    def captured(source, namespace):
+        made[-1][0] = source
+        run(source, namespace)
+
+    monkeypatch.setattr(gp, "_float_plan", recorded)
+    monkeypatch.setattr(gp, "exec", captured, raising=False)
+    monkeypatch.setattr(gp, "_STEP_PLANS", {})  # every plan compiled here afresh
+    num = st.NumericSystem(catalog_build(name))
+    m = num.alg.dim
+    x = [np.linspace(0.1, 0.9, 3) + j / 16 for j in range(m)]
+    for step in num._steps:
+        for keep in {step.closure(read) for r in range(m + 1)
+                     for read in itertools.combinations(range(m), r)}:
+            step([v if j in keep else None for j, v in enumerate(x)], keep)
+        step(x)
+    assert made
+    for source, used in made:
+        head, body = source.split("\n", 1)
+        assert head == "def plan(%s):" % ", ".join("x%d" % j for j in range(m))
+        assert {int(j) for j in re.findall(r"\bx(\d+)\b", body)} == used
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,30 @@ def test_observables_of_different_dimensions_do_not_combine():
             a + b
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_observable_of_another_dimension_is_refused(dim):
+    """heisenberg3 has dimension 3: a dim-2 observable would read x0 and x1
+    alone, a dim-4 one index past the point; every estimator and the factor
+    projection refuse both, naming the two dimensions."""
+    sys = catalog_build("heisenberg3")
+    f = Observable.character(dim, (1,) + (0,) * (dim - 1))
+    message = "observable of dimension %d on a system of dimension 3" % dim
+    calls = [lambda: autocorrelation(sys, f, 4, 1000, seed=1),
+             lambda: autocorrelation_many(sys, [Observable.character(3, (1, 0, 0)), f], 4, 1000,
+                                          seed=1),
+             lambda: uniformity_seminorm(sys, f, 2, 2, 1000, seed=1),
+             lambda: seminorm_ladder(sys, f, (2, 2), 1000, seed=1),
+             lambda: project_to_factor(sys, f, st.discrete_factor_subgroup(sys))]
+    for call in calls:
+        with pytest.raises(ObservableError, match=message):
+            call()
+    z2 = catalog_build("z2_skew")  # dimension 2
+    g = Observable.character(dim - 1, (1,) + (0,) * (dim - 2))
+    message = "observable of dimension %d on a system of dimension 2" % (dim - 1)
+    with pytest.raises(ObservableError, match=message):
+        joint_autocorrelation(z2, g, (2, 2), 1000, seed=1)
+
+
 def test_observable_accepts_integral_frequencies():
     f = Observable(3, {(2.0, np.int64(-1), Fraction(4, 2)): 1.0})
     assert f.terms == {(2, -1, 2): 1.0}
